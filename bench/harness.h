@@ -5,9 +5,15 @@
 // bench_results/ alongside the human-readable stdout tables.
 #pragma once
 
+#include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/export.h"
@@ -33,15 +39,23 @@ struct Scale {
   int machines = 30;
   std::uint64_t seed = 1;
 
+  // A malformed argument — not a decimal integer, or jobs/machines not
+  // positive — prints a usage message and exits with status 2.
   static Scale from_args(int argc, char** argv, Scale def) {
     Scale s = def;
     int pos = 0;
     for (int i = 1; i < argc; ++i) {
-      if (argv[i][0] == '-') continue;  // leftover flags (e.g. gbench's)
+      const char* arg = argv[i];
+      // Leftover flags (e.g. gbench's); "-5" is a negative count, not one.
+      if (arg[0] == '-' && !std::isdigit(static_cast<unsigned char>(arg[1])))
+        continue;
       switch (pos++) {
-        case 0: s.jobs = std::atoi(argv[i]); break;
-        case 1: s.machines = std::atoi(argv[i]); break;
-        case 2: s.seed = std::strtoull(argv[i], nullptr, 10); break;
+        case 0: s.jobs = count_arg(argv[0], "jobs", arg); break;
+        case 1: s.machines = count_arg(argv[0], "machines", arg); break;
+        case 2:
+          s.seed = parse_arg<std::uint64_t>(argv[0], "seed", arg,
+                                            "a non-negative integer");
+          break;
         default: break;
       }
     }
@@ -49,6 +63,29 @@ struct Scale {
   }
   static Scale from_args(int argc, char** argv) {
     return from_args(argc, argv, Scale{});
+  }
+
+ private:
+  [[noreturn]] static void usage(const char* prog, const char* what,
+                                 const char* arg, const char* expected) {
+    std::cerr << "usage: " << prog << " [jobs] [machines] [seed]\n"
+              << "  " << what << " must be " << expected << ", got '" << arg
+              << "'\n";
+    std::exit(2);
+  }
+  template <typename T>
+  static T parse_arg(const char* prog, const char* what, const char* arg,
+                     const char* expected) {
+    T value{};
+    const char* end = arg + std::strlen(arg);
+    const auto [ptr, ec] = std::from_chars(arg, end, value);
+    if (ec != std::errc() || ptr != end) usage(prog, what, arg, expected);
+    return value;
+  }
+  static int count_arg(const char* prog, const char* what, const char* arg) {
+    const int value = parse_arg<int>(prog, what, arg, "a positive integer");
+    if (value <= 0) usage(prog, what, arg, "a positive integer");
+    return value;
   }
 };
 

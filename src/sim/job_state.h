@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/placement.h"
+#include "sim/scheduler.h"
 #include "sim/spec.h"
 #include "util/resources.h"
 #include "util/units.h"
@@ -77,9 +78,32 @@ struct StageState {
   // runnable candidates directly instead of walking finished ones.
   std::vector<int> runnable_indices;
   // Bumped on every runnable-set mutation (task arrival, start, requeue).
-  // Version stamp for the simulator's cross-pass probe and group-estimate
-  // memos (DESIGN.md §8): both depend on the runnable set and its order.
+  // Version stamp for the simulator's group-estimate memo (DESIGN.md §8),
+  // whose representative task depends on the runnable set.
   std::uint64_t runnable_version = 0;
+  // Locality window (DESIGN.md §12.5): local_fraction(task, m) of the
+  // tasks in the first kMaxLocalityScan slots of runnable_indices against
+  // every real machine, row-major [slot * machines + m]. Kept in step with
+  // runnable_indices by the simulator's add_runnable/remove_runnable, so
+  // a placement rewrites at most one row. Empty under the naive view.
+  std::vector<double> locality;
+  // Per window row: inputs_available() as of churn epoch `viable_epoch`;
+  // refreshed lazily by the first probe after the epoch moves.
+  std::vector<unsigned char> viable;
+  std::uint64_t viable_epoch = 0;
+  // Cross-pass probe memo, one slot per real machine (DESIGN.md §8). A
+  // probe is a pure function of (chosen task, machine, churn epoch,
+  // profile epoch, finished count), so a slot replays while the window
+  // still picks the same task, however the rest of the runnable set
+  // moved. Sized when the stage becomes runnable, freed when it is done.
+  struct ProbeMemo {
+    int task_index = -1;  // -1: never filled
+    std::uint64_t churn_version = 0;
+    std::uint64_t profile_version = 0;
+    int finished = -1;
+    Probe probe;
+  };
+  std::vector<ProbeMemo> probe_memo;
   // (task index, runnable_since) in push order. Entries are appended with
   // non-decreasing timestamps and never erased eagerly; a query pops
   // stale fronts (task no longer runnable, or requeued since) and the

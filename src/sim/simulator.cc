@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <queue>
 #include <sstream>
@@ -37,6 +39,9 @@ constexpr std::size_t kMaxShuffleSources = 8;
 // Cap on candidate tasks scanned per (group, machine) probe when hunting
 // for the best-locality task.
 constexpr std::size_t kMaxLocalityScan = 24;
+// Stack arena behind refresh_dirty()'s per-call task set: room for a few
+// hundred affected tasks before the set spills to the heap.
+constexpr std::size_t kDirtyArenaBytes = 16 * 1024;
 
 struct Event {
   enum class Type {
@@ -330,48 +335,27 @@ class Simulator {
   std::vector<Resources> avail_cache_;
   std::vector<char> avail_dirty_;
   std::vector<char> ramping_;
-  // Probe memo across passes, keyed (job, stage, machine). An entry is
-  // valid while all four stamps match: the stage's runnable set, the
-  // churn epoch (machine_up_ and uplink capacities), the stage's finished
-  // count and the profiling epoch (both feed est_factors).
-  struct ProbeEntry {
-    std::uint64_t runnable_version = 0;
-    std::uint64_t churn_version = 0;
-    std::uint64_t profile_version = 0;
-    int finished = -1;
-    Probe probe;
-  };
-  mutable std::unordered_map<std::uint64_t, ProbeEntry> probe_memo_;
-  // Guards probe_memo_ and the probe_cache_* counters — the only shared
-  // state a probe() mutates — so the scheduler's column shards may probe
-  // concurrently (DESIGN.md §9). Shards own disjoint machines, hence
-  // disjoint memo keys; the lock only serializes the map structure, not
-  // the probe computation, which runs outside it.
+  // Guards the per-stage probe memos, the lazy churn-viability refresh
+  // of the locality windows and the probe_cache_* counters — the only
+  // shared state a probe() mutates — so the scheduler's column shards may
+  // probe concurrently (DESIGN.md §9). The probe computation itself runs
+  // outside it.
   mutable std::mutex probe_mu_;
-  // Per-stage locality table: local_fraction(candidate, m) for the first
-  // kMaxLocalityScan runnable candidates against every machine at once,
-  // built once per (runnable set, churn epoch) instead of a split-replica
-  // scan per (machine, candidate) probe miss. Values are bit-identical to
-  // local_fraction(): the per-machine byte accumulation walks the splits
-  // in the same order, so every double sum and the final division match
-  // exactly. Guarded by probe_mu_; once built, an entry is read-only
-  // until the stage's versions move, which never happens while shards
-  // are probing (placements commit at the wave barrier).
-  struct LocalityTable {
-    std::uint64_t runnable_version = 0;
-    std::uint64_t churn_version = 0;
-    int finished = -1;
-    std::size_t scan = 0;
-    std::vector<double> frac;           // candidate-major: [c*machines + m]
-    std::vector<unsigned char> viable;  // inputs_available() per candidate
-  };
-  mutable std::unordered_map<std::uint64_t, LocalityTable> loc_tables_;
-  void pick_local_candidate(const StageState& stage, std::uint64_t stage_key,
-                            MachineId machine, int* best,
+  // Best-locality candidate for `machine` from the stage's locality
+  // window (first strict improvement wins, early out once fully local);
+  // refreshes the window's viability flags first if the churn epoch
+  // moved. Caller holds probe_mu_.
+  void pick_local_candidate(StageState& stage, MachineId machine, int* best,
                             double* best_frac) const;
+  // Writes window row `slot` for `task`: its local fraction on every real
+  // machine (bit-identical to local_fraction()) and its viability.
+  void set_locality_row(StageState& stage, std::size_t slot,
+                        const TaskState& task) const;
   // Group-estimate memo (est_demand / est_duration / est_task_work per
-  // stage), same stamping minus the churn epoch (estimates are
-  // placement-independent). Serves runnable_groups(), imminent_groups()
+  // stage), valid while the stage's runnable set (it picks the
+  // representative task), finished count and the profiling epoch (both
+  // feed est_factors) are unchanged; estimates are placement-independent,
+  // so churn does not enter. Serves runnable_groups(), imminent_groups()
   // and the per-job remaining-work sums of active_jobs().
   struct EstimateEntry {
     std::uint64_t runnable_version = 0;
@@ -709,42 +693,18 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       !sim_.machine_is_up(machine))
     return;
   if (!sim_.has_job(group.job)) return;
-  const JobState& job = sim_.job_at(group.job);
+  JobState& job = sim_.job_at(group.job);
   if (group.stage < 0 || group.stage >= static_cast<int>(job.stages.size()))
     return;
-  const StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
-
-  // Cross-pass memo: the probe is a pure function of the stage's runnable
-  // set (candidate scan order included), the churn epoch (replica masks
-  // and uplink capacities) and the estimation inputs — never of current
-  // availability. Between heartbeats most stages and machines are
-  // untouched, so most probes replay verbatim.
-  const bool naive = sim_.config_.naive_scheduler_view;
-  const std::uint64_t key = (static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(group.job))
-                             << 32) |
-                            (static_cast<std::uint64_t>(group.stage) << 16) |
-                            static_cast<std::uint64_t>(machine);
-  if (!naive) {
-    std::lock_guard<std::mutex> lock(sim_.probe_mu_);
-    const auto it = sim_.probe_memo_.find(key);
-    if (it != sim_.probe_memo_.end() &&
-        it->second.runnable_version == stage.runnable_version &&
-        it->second.churn_version == sim_.churn_version_ &&
-        it->second.profile_version == sim_.profile_version_ &&
-        it->second.finished == stage.finished) {
-      sim_.perf_.probe_cache_hits++;
-      p = it->second.probe;
-      return;
-    }
-  }
+  StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
 
   // Best-locality candidate among runnable tasks (bounded scan).
   int best = -1;
   double best_frac = -1;
+  const bool naive = sim_.config_.naive_scheduler_view;
   if (naive) {
     // The oracle recomputes from scratch — per-machine split scans, no
-    // shared table — preserving the baseline's cost profile.
+    // locality window, no memo — preserving the baseline's cost profile.
     const std::size_t scan =
         std::min(stage.runnable_indices.size(), kMaxLocalityScan);
     for (std::size_t i = 0; i < scan; ++i) {
@@ -762,23 +722,27 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       }
       if (best_frac >= 1.0) break;
     }
+    if (best < 0) return;
   } else {
-    // Fast path: the per-stage locality table, one build per runnable
-    // epoch amortized over every machine's miss (values bit-identical to
-    // the scan above). The stage key is the memo key minus the machine.
-    sim_.pick_local_candidate(stage, key & ~0xffffull, machine, &best,
-                              &best_frac);
-  }
-  const auto memoize = [&](const Probe& computed) {
-    if (naive) return;
+    // Fast path: the stage's locality window picks the candidate (values
+    // bit-identical to the scan above), then the cross-pass memo replays
+    // the probe if that task was last probed here under the same epochs.
+    // The probe is a pure function of (task, machine, churn epoch —
+    // replica masks and uplink capacities —, estimation inputs), never of
+    // current availability or of the rest of the runnable set, so most
+    // probes replay verbatim even across placements in the same stage.
     std::lock_guard<std::mutex> lock(sim_.probe_mu_);
-    sim_.probe_memo_[key] = {stage.runnable_version, sim_.churn_version_,
-                             sim_.profile_version_, stage.finished, computed};
-    sim_.perf_.probe_cache_misses++;
-  };
-  if (best < 0) {
-    memoize(p);
-    return;
+    sim_.pick_local_candidate(stage, machine, &best, &best_frac);
+    if (best < 0) return;
+    const StageState::ProbeMemo& e =
+        stage.probe_memo[static_cast<std::size_t>(machine)];
+    if (e.task_index == best && e.churn_version == sim_.churn_version_ &&
+        e.profile_version == sim_.profile_version_ &&
+        e.finished == stage.finished) {
+      sim_.perf_.probe_cache_hits++;
+      p = e.probe;
+      return;
+    }
   }
 
   const TaskState& task = stage.tasks[static_cast<std::size_t>(best)];
@@ -817,79 +781,84 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   p.local_fraction = best_frac;
   p.task_work =
       p.demand.normalized_by(sim_.avg_capacity_).sum() * p.duration;
-  memoize(p);
+  if (naive) return;
+  std::lock_guard<std::mutex> lock(sim_.probe_mu_);
+  // Field-wise, so the slot's remote vector keeps its capacity.
+  StageState::ProbeMemo& e =
+      stage.probe_memo[static_cast<std::size_t>(machine)];
+  e.task_index = best;
+  e.churn_version = sim_.churn_version_;
+  e.profile_version = sim_.profile_version_;
+  e.finished = stage.finished;
+  e.probe = p;
+  sim_.perf_.probe_cache_misses++;
 }
 
-void Simulator::pick_local_candidate(const StageState& stage,
-                                     std::uint64_t stage_key,
-                                     MachineId machine, int* best,
-                                     double* best_frac) const {
-  std::lock_guard<std::mutex> lock(probe_mu_);
-  LocalityTable& t = loc_tables_[stage_key];
-  if (t.runnable_version != stage.runnable_version ||
-      t.churn_version != churn_version_ || t.finished != stage.finished) {
-    const std::size_t scan =
-        std::min(stage.runnable_indices.size(), kMaxLocalityScan);
-    const auto machines = static_cast<std::size_t>(num_real_machines_);
-    t.scan = scan;
-    t.frac.assign(scan * machines, 0.0);
-    t.viable.assign(scan, 1);
-    for (std::size_t c = 0; c < scan; ++c) {
+void Simulator::pick_local_candidate(StageState& stage, MachineId machine,
+                                     int* best, double* best_frac) const {
+  if (stage.viable_epoch != churn_version_) {
+    // machine_up_ only changes with churn_version_, so the flags stay
+    // exact until the next epoch.
+    for (std::size_t c = 0; c < stage.viable.size(); ++c) {
       const TaskState& task =
           stage.tasks[static_cast<std::size_t>(stage.runnable_indices[c])];
-      // Tasks whose every replica of some input is down cannot run
-      // anywhere until a recovery; they stay runnable but are not
-      // candidates. machine_up_ only changes with churn_version_, so the
-      // cached flag stays exact.
-      if (down_count_ > 0 && !inputs_available(task.spec, machine_up_)) {
-        t.viable[c] = 0;
-        continue;
-      }
-      // Accumulate each machine's local bytes split-major — the exact
-      // addition order local_fraction() uses per machine — then divide.
-      double* local = t.frac.data() + c * machines;
-      double total = 0;
-      for (const auto& split : task.spec.inputs) {
-        if (split.bytes <= 0) continue;
-        total += split.bytes;
-        if (split.replicas.empty()) {
-          // Generated input: local everywhere, costing no remote read.
-          for (std::size_t m = 0; m < machines; ++m) local[m] += split.bytes;
-          continue;
-        }
-        for (auto it = split.replicas.begin(); it != split.replicas.end();
-             ++it) {
-          // First occurrence only: local_fraction() counts a split once
-          // per machine however many times a replica repeats.
-          if (std::find(split.replicas.begin(), it, *it) != it) continue;
-          if (*it >= 0 && *it < static_cast<MachineId>(machines))
-            local[static_cast<std::size_t>(*it)] += split.bytes;
-        }
-      }
-      if (total > 0) {
-        for (std::size_t m = 0; m < machines; ++m) local[m] /= total;
-      } else {
-        for (std::size_t m = 0; m < machines; ++m) local[m] = 1.0;
-      }
+      stage.viable[c] =
+          down_count_ == 0 || inputs_available(task.spec, machine_up_);
     }
-    t.runnable_version = stage.runnable_version;
-    t.churn_version = churn_version_;
-    t.finished = stage.finished;
+    stage.viable_epoch = churn_version_;
   }
-  // Same argmax as the per-machine scan: first strict improvement wins,
-  // early out once fully local.
+  // Same argmax as the naive per-machine scan.
   *best = -1;
   *best_frac = -1;
   const auto machines = static_cast<std::size_t>(num_real_machines_);
-  for (std::size_t c = 0; c < t.scan; ++c) {
-    if (!t.viable[c]) continue;
+  for (std::size_t c = 0; c < stage.viable.size(); ++c) {
+    if (!stage.viable[c]) continue;
     const double frac =
-        t.frac[c * machines + static_cast<std::size_t>(machine)];
+        stage.locality[c * machines + static_cast<std::size_t>(machine)];
     if (frac > *best_frac) {
       *best_frac = frac;
       *best = stage.runnable_indices[c];
     }
     if (*best_frac >= 1.0) break;
+  }
+}
+
+void Simulator::set_locality_row(StageState& stage, std::size_t slot,
+                                 const TaskState& task) const {
+  const auto machines = static_cast<std::size_t>(num_real_machines_);
+  if (slot == stage.viable.size()) {
+    stage.viable.push_back(1);
+    stage.locality.resize((slot + 1) * machines);
+  }
+  // Tasks whose every replica of some input is down cannot run anywhere
+  // until a recovery; they stay runnable but are not candidates.
+  stage.viable[slot] =
+      down_count_ == 0 || inputs_available(task.spec, machine_up_);
+  // Accumulate each machine's local bytes split-major — the exact
+  // addition order local_fraction() uses per machine — then divide.
+  double* local = stage.locality.data() + slot * machines;
+  std::fill(local, local + machines, 0.0);
+  double total = 0;
+  for (const auto& split : task.spec.inputs) {
+    if (split.bytes <= 0) continue;
+    total += split.bytes;
+    if (split.replicas.empty()) {
+      // Generated input: local everywhere, costing no remote read.
+      for (std::size_t m = 0; m < machines; ++m) local[m] += split.bytes;
+      continue;
+    }
+    for (auto it = split.replicas.begin(); it != split.replicas.end(); ++it) {
+      // First occurrence only: local_fraction() counts a split once per
+      // machine however many times a replica repeats.
+      if (std::find(split.replicas.begin(), it, *it) != it) continue;
+      if (*it >= 0 && *it < static_cast<MachineId>(machines))
+        local[static_cast<std::size_t>(*it)] += split.bytes;
+    }
+  }
+  if (total > 0) {
+    for (std::size_t m = 0; m < machines; ++m) local[m] /= total;
+  } else {
+    std::fill(local, local + machines, 1.0);
   }
 }
 
@@ -1319,19 +1288,13 @@ void Simulator::retire_job(JobState& job) {
 
   // Drop every memo entry keyed by this job; none can be consulted again
   // (complete jobs emit no groups), so erasure cannot change a decision.
+  // Probe memos and locality windows live in the stages, freed as each
+  // stage finished.
   for (int s = 0; s < static_cast<int>(job.stages.size()); ++s) {
     const long gkey =
         (static_cast<long>(job.id) << 20) | static_cast<long>(s);
     est_memo_.erase(gkey);
     noise_factors_.erase(gkey);
-    const std::uint64_t pbase =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job.id))
-         << 32) |
-        (static_cast<std::uint64_t>(s) << 16);
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      probe_memo_.erase(pbase | static_cast<std::uint64_t>(m));
-    }
-    loc_tables_.erase(pbase);
   }
 
   resident_jobs_--;
@@ -1816,24 +1779,52 @@ bool Simulator::constraints_admit(const GroupRef& group, MachineId m) const {
 
 void Simulator::add_runnable(StageState& stage, int task_index) {
   TaskState& task = stage.tasks[static_cast<std::size_t>(task_index)];
-  task.runnable_pos = static_cast<int>(stage.runnable_indices.size());
+  const std::size_t pos = stage.runnable_indices.size();
+  task.runnable_pos = static_cast<int>(pos);
   task.runnable_since = now_;
   stage.runnable_indices.push_back(task_index);
   stage.runnable_version++;
   stage.wait_fifo.emplace_back(task_index, now_);
   runnable_total_++;
+  if (config_.naive_scheduler_view) return;
+  // First runnable task: size the stage's probe memo (freed when done).
+  if (stage.probe_memo.empty())
+    stage.probe_memo.resize(static_cast<std::size_t>(num_real_machines_));
+  // An empty window holds no stale viability flag to refresh.
+  if (stage.viable.empty()) stage.viable_epoch = churn_version_;
+  if (pos < kMaxLocalityScan) set_locality_row(stage, pos, task);
 }
 
 void Simulator::remove_runnable(StageState& stage, int task_index) {
   TaskState& task = stage.tasks[static_cast<std::size_t>(task_index)];
   const int pos = task.runnable_pos;
   const int last = stage.runnable_indices.back();
+  const std::size_t last_pos = stage.runnable_indices.size() - 1;
   stage.runnable_indices[static_cast<std::size_t>(pos)] = last;
   stage.tasks[static_cast<std::size_t>(last)].runnable_pos = pos;
   stage.runnable_indices.pop_back();
   task.runnable_pos = -1;
   stage.runnable_version++;
   runnable_total_--;
+  // Swap-with-last moved `last` into `pos`: at most one window row
+  // changes. Below the window's end the last row moves down and the
+  // window shrinks; otherwise a task from past the window enters it.
+  const auto slot = static_cast<std::size_t>(pos);
+  if (config_.naive_scheduler_view || slot >= stage.viable.size()) return;
+  if (last_pos < stage.viable.size()) {
+    const auto machines = static_cast<std::size_t>(num_real_machines_);
+    const auto rows = stage.locality.begin();
+    if (slot != last_pos) {
+      std::copy_n(rows + static_cast<std::ptrdiff_t>(last_pos * machines),
+                  machines, rows + static_cast<std::ptrdiff_t>(slot * machines));
+    }
+    stage.viable[slot] = stage.viable[last_pos];
+    stage.viable.pop_back();
+    stage.locality.resize(last_pos * machines);
+  } else {
+    set_locality_row(stage, slot,
+                     stage.tasks[static_cast<std::size_t>(last)]);
+  }
 }
 
 double Simulator::stage_longest_wait(StageState& stage) const {
@@ -2075,6 +2066,10 @@ void Simulator::complete_task(int uid, bool failed,
   reports_.push_back(std::move(report));
 
   if (stage.done()) {
+    // Nothing probes a done stage again: free its memo and window.
+    stage.probe_memo = {};
+    stage.locality = {};
+    stage.viable = {};
     for (int s2 = 0; s2 < static_cast<int>(job.stages.size()); ++s2) {
       StageState& other = job.stages[static_cast<std::size_t>(s2)];
       if (std::find(other.deps.begin(), other.deps.end(), loc.stage) ==
@@ -2134,8 +2129,14 @@ double Simulator::compute_speed(const TaskState& t) const {
 
 void Simulator::refresh_dirty() {
   if (dirty_list_.empty()) return;
-  // Collect the tasks touching any dirty machine.
-  std::unordered_set<int> affected;
+  // Collect the tasks touching any dirty machine. The set's nodes and
+  // bucket arrays come from a stack arena (the heap only past it),
+  // released as the call returns. Container and hash stay those of
+  // std::unordered_set<int>, whose iteration order fixes the seq numbers
+  // of the finish events pushed below and so every equal-time tie-break.
+  alignas(std::max_align_t) std::byte arena_buf[kDirtyArenaBytes];
+  std::pmr::monotonic_buffer_resource arena(arena_buf, sizeof arena_buf);
+  std::pmr::unordered_set<int> affected(&arena);
   for (MachineId m : dirty_list_) {
     for (const auto& [uid, demand] : machines_[static_cast<std::size_t>(m)]
                                          .demands()) {

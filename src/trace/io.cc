@@ -16,8 +16,7 @@ constexpr std::uint64_t kVersion = 1;
 }  // namespace
 
 std::vector<std::uint8_t> serialize_log(const TraceLog& log) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof(kMagic));
   wire::put_varint(out, kVersion);
   wire::put_varint(out, log.seed);
   wire::put_varint(out, log.dropped);

@@ -78,6 +78,7 @@ sim::JobSpec make_stream_job(const StreamGenConfig& config, long index) {
     task.cpu_cycles = cores * duration;
     sim::InputSplit split;
     split.bytes = input_bytes;
+    split.replicas.reserve(static_cast<std::size_t>(config.dfs_replication));
     const int first = static_cast<int>(
         rng.uniform_int(0, config.num_machines - 1));
     for (int r = 0; r < config.dfs_replication; ++r) {
@@ -117,7 +118,11 @@ sim::JobSpec make_stream_job(const StreamGenConfig& config, long index) {
 bool SyntheticJobSource::peek(sim::JobPeek& out) {
   if (next_ >= config_.num_jobs) return false;
   out.arrival = static_cast<double>(next_) * config_.arrival_spacing;
-  out.tasks = stream_job_tasks(config_, next_);
+  if (peeked_ != next_) {
+    peeked_ = next_;
+    peeked_tasks_ = stream_job_tasks(config_, next_);
+  }
+  out.tasks = peeked_tasks_;
   return true;
 }
 

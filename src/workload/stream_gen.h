@@ -62,6 +62,10 @@ class SyntheticJobSource final : public sim::JobSource {
  private:
   StreamGenConfig config_;
   long next_ = 0;
+  // stream_job_tasks() of job `peeked_`: the engine peeks the same head
+  // job at every event, and the draw re-seeds a generator each time.
+  long peeked_ = -1;
+  long peeked_tasks_ = 0;
 };
 
 // The whole stream as an in-memory workload — the batch-mode oracle for

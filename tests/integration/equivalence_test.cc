@@ -49,6 +49,18 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.name;
 }
 
+// A matrix case run with injected task failures (SimConfig's
+// task_failure_prob).
+struct FailureCase {
+  Case base;
+  double task_failure_prob = 0;
+};
+
+std::string failure_case_name(
+    const ::testing::TestParamInfo<FailureCase>& info) {
+  return info.param.base.name;
+}
+
 sim::Workload make_load(Load kind, std::uint64_t seed) {
   if (kind == Load::kSuite) {
     workload::SuiteConfig cfg;
@@ -81,7 +93,7 @@ sim::Workload make_load(Load kind, std::uint64_t seed) {
   return workload::make_facebook_workload(cfg);
 }
 
-sim::SimConfig make_sim_config(const Case& c) {
+sim::SimConfig make_sim_config(const Case& c, double task_failure_prob) {
   sim::SimConfig cfg;
   cfg.num_machines = 10;
   cfg.machine_capacity = workload::facebook_machine();
@@ -96,6 +108,7 @@ sim::SimConfig make_sim_config(const Case& c) {
   if (c.churn) {
     cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0}, {2, 200.0, 260.0}};
   }
+  cfg.task_failure_prob = task_failure_prob;
   return cfg;
 }
 
@@ -165,14 +178,13 @@ std::string first_placement_divergence(const sim::SimResult& want,
   return "placements identical";
 }
 
-class EquivalenceTest : public ::testing::TestWithParam<Case> {};
-
-TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
-  const Case c = GetParam();
+// Runs case `c` on every path and thread count and holds each to the
+// serial naive oracle.
+void expect_all_paths_identical(const Case& c, double task_failure_prob) {
   const sim::Workload w = make_load(c.load, c.seed);
 
   const auto run = [&](bool naive, int threads, core::SimdMode simd) {
-    sim::SimConfig cfg = make_sim_config(c);
+    sim::SimConfig cfg = make_sim_config(c, task_failure_prob);
     cfg.naive_scheduler_view = naive;
     // Record the event stream too: decision events must agree across the
     // whole matrix (DESIGN.md §10's cross-configuration contract).
@@ -190,6 +202,11 @@ TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
   // naive_scoring always scores scalar regardless of the simd knob.
   const sim::SimResult oracle =
       run(/*naive=*/true, /*threads=*/0, core::SimdMode::kOff);
+  if (task_failure_prob > 0) {
+    ASSERT_TRUE(std::any_of(oracle.tasks.begin(), oracle.tasks.end(),
+                            [](const auto& t) { return t.attempts > 1; }))
+        << "no task failure was injected";
+  }
 
   struct Variant {
     const char* name;
@@ -278,6 +295,12 @@ TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
       EXPECT_EQ(r.perf.row_skips, serial.perf.row_skips);
     }
   }
+}
+
+class EquivalenceTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
+  expect_all_paths_identical(GetParam(), /*task_failure_prob=*/0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -371,6 +394,39 @@ INSTANTIATE_TEST_SUITE_P(
                return t;
              }()}),
     case_name);
+
+class TaskFailureEquivalenceTest
+    : public ::testing::TestWithParam<FailureCase> {};
+
+TEST_P(TaskFailureEquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
+  expect_all_paths_identical(GetParam().base, GetParam().task_failure_prob);
+}
+
+// Injected task failures requeue attempts into partly drained runnable
+// sets: the locality window must take the requeued task at the set's
+// tail, and a memoized probe of a failed task must replay only while that
+// task is still the window's pick. With churn on top, requeues meet the
+// lazy viability refresh too.
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, TaskFailureEquivalenceTest,
+    ::testing::Values(
+        FailureCase{Case{"SuiteTaskFailures", Load::kSuite, 1, false,
+                         sim::TrackerMode::kUsage,
+                         sim::EstimationMode::kOracle, {}},
+                    0.2},
+        FailureCase{Case{"FacebookTaskFailures", Load::kFacebook, 1, false,
+                         sim::TrackerMode::kUsage,
+                         sim::EstimationMode::kOracle, {}},
+                    0.2},
+        FailureCase{Case{"FacebookTaskFailuresChurn", Load::kFacebook, 2,
+                         true, sim::TrackerMode::kAllocation,
+                         sim::EstimationMode::kOracle, {}},
+                    0.15},
+        FailureCase{Case{"ConstrainedTaskFailuresChurn", Load::kConstrained,
+                         1, true, sim::TrackerMode::kUsage,
+                         sim::EstimationMode::kLearnedProfile, {}},
+                    0.15}),
+    failure_case_name);
 
 // Pass samples: backlog and placement counts are schedule-derived, so they
 // must agree between the two paths as well (latency, of course, differs —

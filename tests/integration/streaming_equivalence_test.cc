@@ -50,12 +50,24 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.name;
 }
 
+// A matrix case run with injected task failures (SimConfig's
+// task_failure_prob).
+struct FailureCase {
+  Case base;
+  double task_failure_prob = 0;
+};
+
+std::string failure_case_name(
+    const ::testing::TestParamInfo<FailureCase>& info) {
+  return info.param.base.name;
+}
+
 struct Scenario {
   sim::Workload workload;
   sim::SimConfig config;
 };
 
-Scenario make_scenario(const Case& c) {
+Scenario make_scenario(const Case& c, double task_failure_prob) {
   Scenario s;
   if (c.load == Load::kMotivating) {
     auto ex = workload::make_motivating_example();
@@ -90,6 +102,7 @@ Scenario make_scenario(const Case& c) {
   if (c.churn) {
     s.config.churn.scripted = {{1, 20.0, 80.0}, {4, 50.0, 140.0}};
   }
+  s.config.task_failure_prob = task_failure_prob;
   // Decision-stream equality is part of the contract.
   s.config.trace.enabled = true;
   s.config.trace.max_chunks_per_thread = 1024;
@@ -176,11 +189,8 @@ std::string first_placement_divergence(const sim::SimResult& want,
   return "placements identical";
 }
 
-class StreamingEquivalenceTest : public ::testing::TestWithParam<Case> {};
-
-TEST_P(StreamingEquivalenceTest, StreamMatchesBatchBitForBit) {
-  const Case c = GetParam();
-  const Scenario s = make_scenario(c);
+void expect_stream_matches_batch(const Case& c, double task_failure_prob) {
+  const Scenario s = make_scenario(c, task_failure_prob);
 
   const sim::SimResult batch = run_case(c, s, /*streaming=*/false);
   const sim::SimResult stream = run_case(c, s, /*streaming=*/true);
@@ -207,15 +217,34 @@ TEST_P(StreamingEquivalenceTest, StreamMatchesBatchBitForBit) {
   // Batch keeps no streaming counters.
   EXPECT_EQ(batch.perf.jobs_admitted, 0);
   EXPECT_EQ(batch.perf.jobs_retired, 0);
+
+  // With injected task failures, requeues land in partly drained
+  // locality windows and meet the churn-viability refresh: hold the
+  // optimized stream to the naive batch oracle as well.
+  if (task_failure_prob > 0 && !c.naive) {
+    Case naive = c;
+    naive.naive = true;
+    naive.threads = 0;
+    const sim::SimResult oracle = run_case(naive, s, /*streaming=*/false);
+    ASSERT_TRUE(std::any_of(oracle.tasks.begin(), oracle.tasks.end(),
+                            [](const auto& t) { return t.attempts > 1; }))
+        << "no task failure was injected";
+    SCOPED_TRACE(first_placement_divergence(oracle, stream));
+    expect_identical(oracle, stream);
+    const trace::Divergence od = trace::first_divergence(
+        oracle.trace_log, stream.trace_log, trace::CompareMode::kDecisions);
+    EXPECT_TRUE(od.identical) << od.description;
+    EXPECT_EQ(oracle.perf.probe_cache_hits, 0);
+  }
 }
 
-TEST_P(StreamingEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
-  const Case c = GetParam();
+void expect_file_source_matches_batch(const Case& c,
+                                      double task_failure_prob) {
   // The file round trip is source plumbing, not a scoring path: one pass
   // through the serial/opt member of each scenario family keeps the
   // matrix affordable.
   if (c.naive || c.threads != 0) GTEST_SKIP() << "covered by in-memory case";
-  const Scenario s = make_scenario(c);
+  const Scenario s = make_scenario(c, task_failure_prob);
 
   const std::string path = ::testing::TempDir() + "stream_equiv_" + c.name +
                            ".bin";
@@ -239,6 +268,16 @@ TEST_P(StreamingEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
       batch.trace_log, from_file.trace_log, trace::CompareMode::kDecisions);
   EXPECT_TRUE(d.identical) << d.description;
   std::remove(path.c_str());
+}
+
+class StreamingEquivalenceTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(StreamingEquivalenceTest, StreamMatchesBatchBitForBit) {
+  expect_stream_matches_batch(GetParam(), /*task_failure_prob=*/0);
+}
+
+TEST_P(StreamingEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
+  expect_file_source_matches_batch(GetParam(), /*task_failure_prob=*/0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -275,6 +314,35 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"FacebookOpt8ThreadsSimdOff", Load::kFacebook, false, 8, false,
              sim::EstimationMode::kOracle, 30.0, core::SimdMode::kOff}),
     case_name);
+
+class StreamingFailureEquivalenceTest
+    : public ::testing::TestWithParam<FailureCase> {};
+
+TEST_P(StreamingFailureEquivalenceTest, StreamMatchesBatchBitForBit) {
+  expect_stream_matches_batch(GetParam().base, GetParam().task_failure_prob);
+}
+
+TEST_P(StreamingFailureEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
+  expect_file_source_matches_batch(GetParam().base,
+                                   GetParam().task_failure_prob);
+}
+
+// Injected task failures: requeued attempts re-enter the runnable sets
+// (and their locality windows) mid-stream, alone and under churn; the opt
+// cases also check against the naive batch oracle.
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, StreamingFailureEquivalenceTest,
+    ::testing::Values(
+        FailureCase{Case{"FacebookFailuresOptSerial", Load::kFacebook, false,
+                         0, false},
+                    0.2},
+        FailureCase{Case{"FacebookFailuresNaiveSerial", Load::kFacebook, true,
+                         0, false},
+                    0.2},
+        FailureCase{Case{"SuiteFailuresChurnOpt8Threads", Load::kSuite,
+                         false, 8, true},
+                    0.15}),
+    failure_case_name);
 
 }  // namespace
 }  // namespace tetris

@@ -64,7 +64,7 @@ TEST(Churn, ScriptedOutageKillsRequeuesAndAccounts) {
   // attempt requeued) and recovers at t=8; the retry runs 8..28.
   Workload w;
   JobSpec job;
-  job.stages.push_back({"s", {cpu_task(2, 1, 20)}, {}});
+  job.stages.push_back({"s", {cpu_task(2, 1, 20)}, {}, {}});
   w.jobs.push_back(job);
 
   SimConfig cfg = small_cluster(1);
@@ -134,7 +134,7 @@ TEST(Churn, TaskBlocksUntilSoleReplicaRecovers) {
   split.bytes = 10 * kMB;
   split.replicas = {1};
   t.inputs.push_back(split);
-  job.stages.push_back({"s", {t}, {}});
+  job.stages.push_back({"s", {t}, {}, {}});
   w.jobs.push_back(job);
 
   SimConfig cfg = small_cluster(2);
@@ -163,7 +163,7 @@ TEST(Churn, RemoteReaderFailsOverToSurvivingReplica) {
   split.bytes = 500 * kMB;
   split.replicas = {1, 2};
   t.inputs.push_back(split);
-  job.stages.push_back({"s", {t}, {}});
+  job.stages.push_back({"s", {t}, {}, {}});
   w.jobs.push_back(job);
 
   SimConfig cfg = small_cluster(3);
@@ -306,7 +306,7 @@ TEST(Churn, DisabledChurnLeavesRunsByteIdenticalToSeed) {
 TEST(Churn, ConfigValidationRejectsContradictionsAndBadEvents) {
   Workload w;
   JobSpec job;
-  job.stages.push_back({"s", {cpu_task(1, 1, 1)}, {}});
+  job.stages.push_back({"s", {cpu_task(1, 1, 1)}, {}, {}});
   w.jobs.push_back(job);
   GreedyFitScheduler sched;
 
@@ -354,7 +354,7 @@ TEST(Churn, SoleFeasibleClassOutageBlocksRatherThanMisplaces) {
 
   JobSpec plain_job;
   plain_job.name = "plain-job";
-  plain_job.stages.push_back({"s", {cpu_task(2, 1, 5)}, {}});
+  plain_job.stages.push_back({"s", {cpu_task(2, 1, 5)}, {}, {}});
   w.jobs.push_back(plain_job);
 
   SimConfig cfg = small_cluster(3);

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory_resource>
+#include <random>
+#include <unordered_set>
+#include <vector>
+
 #include "sim/placement.h"
 #include "util/units.h"
 
@@ -85,7 +91,7 @@ TEST(Simulator, SingleTaskCompletesWithNaturalDuration) {
   Workload w;
   JobSpec job;
   job.name = "j";
-  job.stages.push_back({"s", {cpu_task(2, 1, 10)}, {}});
+  job.stages.push_back({"s", {cpu_task(2, 1, 10)}, {}, {}});
   w.jobs.push_back(job);
 
   GreedyFitScheduler sched;
@@ -103,7 +109,7 @@ TEST(Simulator, TasksQueueWhenMachineFull) {
   // Two 4-core tasks on one 4-core machine must serialize.
   Workload w;
   JobSpec job;
-  job.stages.push_back({"s", {cpu_task(4, 1, 10), cpu_task(4, 1, 10)}, {}});
+  job.stages.push_back({"s", {cpu_task(4, 1, 10), cpu_task(4, 1, 10)}, {}, {}});
   w.jobs.push_back(job);
 
   GreedyFitScheduler sched;
@@ -121,7 +127,7 @@ TEST(Simulator, OverAllocatedCpuSharesProportionally) {
   // the cores, so both take ~20s instead of 10s.
   Workload w;
   JobSpec job;
-  job.stages.push_back({"s", {cpu_task(4, 1, 10), cpu_task(4, 1, 10)}, {}});
+  job.stages.push_back({"s", {cpu_task(4, 1, 10), cpu_task(4, 1, 10)}, {}, {}});
   w.jobs.push_back(job);
 
   RecklessScheduler sched;
@@ -224,7 +230,7 @@ TEST(Simulator, RemoteReadUsesNetworkAndIsSlowerThanLocal) {
     split.bytes = 1000.0 * kMB;
     split.replicas = {0};
     t.inputs.push_back(split);
-    job.stages.push_back({"s", {t}, {}});
+    job.stages.push_back({"s", {t}, {}, {}});
     w.jobs.push_back(job);
     return w;
   };
@@ -370,7 +376,7 @@ TEST(Simulator, BackgroundActivityContendsProportionally) {
   split.bytes = 500.0 * kMB;  // 5s at full disk
   split.replicas = {0};
   t.inputs.push_back(split);
-  job.stages.push_back({"s", {t}, {}});
+  job.stages.push_back({"s", {t}, {}, {}});
   w.jobs.push_back(job);
 
   SimConfig cfg = small_cluster(1);
@@ -388,6 +394,39 @@ TEST(Simulator, BackgroundActivityContendsProportionally) {
   // (100*0.94)/200 = 0.47 until done: 1 + 0.8*5/0.47 ~ 9.5s.
   EXPECT_GT(r.tasks[0].duration(), 8.0);
   EXPECT_LT(r.tasks[0].duration(), 11.0);
+}
+
+// The simulator's rate refresh collects the tasks touching dirty machines
+// in a std::pmr::unordered_set<int> on a per-call stack arena, then pushes
+// a finish event per task in the set's iteration order — so event seq
+// numbers, and every equal-time tie-break, rest on that order matching
+// std::unordered_set<int>'s for the same insertions, whether the arena's
+// first buffer holds the whole set or it spills to the heap.
+TEST(RefreshDirtyArena, PmrSetIteratesInStdOrder) {
+  std::mt19937_64 rng(7);
+  for (const std::size_t buffer_bytes : {std::size_t{256}, std::size_t{16384}}) {
+    for (const int inserts : {0, 1, 7, 60, 400, 5000}) {
+      for (const int range : {16, 1000, 1 << 20}) {
+        std::uniform_int_distribution<int> uid(0, range);
+        std::vector<int> sequence(static_cast<std::size_t>(inserts));
+        for (int& x : sequence) x = uid(rng);
+
+        std::vector<std::byte> buffer(buffer_bytes);
+        std::pmr::monotonic_buffer_resource arena(buffer.data(),
+                                                  buffer.size());
+        std::pmr::unordered_set<int> on_arena(&arena);
+        std::unordered_set<int> plain;
+        for (int x : sequence) {
+          on_arena.insert(x);
+          plain.insert(x);
+        }
+        const std::vector<int> want(plain.begin(), plain.end());
+        const std::vector<int> got(on_arena.begin(), on_arena.end());
+        EXPECT_EQ(got, want) << "buffer " << buffer_bytes << " inserts "
+                             << inserts << " range " << range;
+      }
+    }
+  }
 }
 
 }  // namespace
