@@ -3,10 +3,10 @@
 // The paper's deployment treats machine failure and the ensuing
 // re-replication as routine background events (§4.3); the simulator's
 // churn subsystem injects them. Sweep the failure rate (per-machine MTTF,
-// exponential, with a fixed MTTR) across schedulers and check that
+// exponential, with a fixed MTTR) across schedulers and measure whether
 // Tetris's packing advantage persists when the cluster keeps losing and
-// regaining machines: kills cost every scheduler the same lost attempts,
-// but a packer re-fills the survivors' capacity tighter.
+// regaining machines (EXPERIMENTS.md E23 has the measured answer: at
+// MTTF <= 2000 s it does not).
 #include <iostream>
 #include <string>
 
@@ -77,10 +77,9 @@ int main(int argc, char** argv) {
 
   std::cout << "Machine churn sweep — schedulers x failure rate:\n"
             << t.to_string() << "\n";
-  std::cout << "(expected: all schedulers lose comparable work to kills, "
-               "but Tetris keeps a JCT edge because it re-packs the "
-               "surviving machines tighter; effective capacity falls as "
-               "MTTF shrinks and every run still drains)\n";
+  std::cout << "(effective capacity falls as MTTF shrinks and every run "
+               "still drains; see EXPERIMENTS.md E23 for how the JCT and "
+               "makespan ranking shifts under churn)\n";
   write_file("bench_results/churn_sweep.csv", csv);
   return 0;
 }

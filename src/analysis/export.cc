@@ -110,7 +110,8 @@ std::string perf_counters_csv(const RunTag& tag,
           "estimate_cache_hits,estimate_cache_misses,avail_cache_hits,"
           "avail_recomputes,simd_blocks,scalar_tail_evals,"
           "parallel_passes,reduction_seconds,cell_advance_seconds,"
-          "idle_cell_skips,shard_evals\n";
+          "idle_cell_skips,rate_refreshes,share_change_refreshes,"
+          "speed_recomputes,tie_fallback_refreshes,shard_evals\n";
   }
   os << tag_prefix(tag) << "," << p.score_evals << "," << p.probes_issued << ","
      << p.probe_reuses << "," << p.sticky_rejects << "," << p.fit_index_skips
@@ -122,7 +123,9 @@ std::string perf_counters_csv(const RunTag& tag,
      << p.parallel_passes << ","
      << static_cast<double>(p.reduction_nanos) * 1e-9 << ","
      << static_cast<double>(p.cell_advance_nanos) * 1e-9 << ","
-     << p.idle_cell_skips << ",";
+     << p.idle_cell_skips << "," << p.rate_refreshes << ","
+     << p.share_change_refreshes << "," << p.speed_recomputes << ","
+     << p.tie_fallback_refreshes << ",";
   // Per-shard score_evals as a ';'-joined list (empty for serial runs) so
   // the column count stays fixed across thread counts.
   for (std::size_t i = 0; i < p.shard_score_evals.size(); ++i)

@@ -47,6 +47,9 @@ struct TaskState {
   // Bumped whenever speed changes; finish events carry the generation they
   // were computed under and are dropped if stale (lazy deletion).
   long generation = 0;
+  // Last rate-refresh walk that reached this task (Simulator::
+  // refresh_dirty dedups tasks reached through several dirty machines).
+  std::uint64_t refresh_stamp = 0;
   int attempts = 0;  // > 1 after failure-injected re-execution
   bool will_fail = false;
   double fail_at_progress = 1.0;

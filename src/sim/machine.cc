@@ -10,8 +10,12 @@ constexpr double kDemandEps = 1e-9;
 }
 
 Machine::Machine(MachineId id, const Resources& capacity,
-                 const InterferenceModel* interference)
-    : id_(id), capacity_(capacity), interference_(interference) {
+                 const InterferenceModel* interference,
+                 std::uint64_t* share_epoch)
+    : id_(id),
+      capacity_(capacity),
+      interference_(interference),
+      share_epoch_(share_epoch) {
   if (interference_ == nullptr)
     throw std::invalid_argument("machine needs an interference model");
   ratios_.fill(1.0);
@@ -54,32 +58,37 @@ void Machine::set_external_usage(const Resources& usage) {
 }
 
 void Machine::recompute() {
+  bool changed = false;
   for (Resource r : all_resources()) {
     const auto i = static_cast<std::size_t>(r);
-    if (r == Resource::kMem) {
-      // Memory is an occupancy, not a rate: it has no share ratio, but
-      // over-commit flips the machine into thrashing.
-      ratios_[i] = 1.0;
-      continue;
+    double ratio = 1.0;
+    const double total = total_task_demand_[r] + external_usage_[r];
+    // Memory is an occupancy, not a rate: it has no share ratio, but
+    // over-commit flips the machine into thrashing (below).
+    if (r != Resource::kMem && total > kDemandEps) {
+      // External activity (ingestion, evacuation) is just another stream
+      // contending for the resource: over-subscription slows tasks *and*
+      // the activity alike (paper §5.2.1: "delays in ingestion"), with the
+      // interference-degraded effective capacity shared proportionally.
+      const int streams =
+          demanding_count_[i] + (external_usage_[r] > kDemandEps ? 1 : 0);
+      const double eff =
+          interference_->effective_capacity(r, capacity_[r], streams, total);
+      ratio = total <= eff ? 1.0 : eff / total;
     }
-    const double task_demand = total_task_demand_[r];
-    const double total = task_demand + external_usage_[r];
-    if (total <= kDemandEps) {
-      ratios_[i] = 1.0;
-      continue;
+    if (ratio != ratios_[i]) {
+      ratios_[i] = ratio;
+      changed = true;
     }
-    // External activity (ingestion, evacuation) is just another stream
-    // contending for the resource: over-subscription slows tasks *and* the
-    // activity alike (paper §5.2.1: "delays in ingestion"), with the
-    // interference-degraded effective capacity shared proportionally.
-    const int streams =
-        demanding_count_[i] + (external_usage_[r] > kDemandEps ? 1 : 0);
-    const double eff =
-        interference_->effective_capacity(r, capacity_[r], streams, total);
-    ratios_[i] = total <= eff ? 1.0 : eff / total;
   }
-  thrashing_ = total_task_demand_[Resource::kMem] + external_usage_[Resource::kMem] >
-               capacity_[Resource::kMem] * (1.0 + 1e-9);
+  const bool thrashing =
+      total_task_demand_[Resource::kMem] + external_usage_[Resource::kMem] >
+      capacity_[Resource::kMem] * (1.0 + 1e-9);
+  if (thrashing != thrashing_) {
+    thrashing_ = thrashing;
+    changed = true;
+  }
+  if (changed && share_epoch_ != nullptr) ++*share_epoch_;
 }
 
 double Machine::grant_ratio(const Resources& demand) const {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <unordered_map>
 
 #include "sim/interference.h"
@@ -18,8 +19,12 @@ namespace tetris::sim {
 // are recomputed lazily.
 class Machine {
  public:
+  // `share_epoch`, when non-null, is bumped every time a share ratio or
+  // the thrashing flag changes value (see recompute()); the simulator
+  // owns it and skips rate recomputation while it stands still.
   Machine(MachineId id, const Resources& capacity,
-          const InterferenceModel* interference);
+          const InterferenceModel* interference,
+          std::uint64_t* share_epoch = nullptr);
 
   MachineId id() const { return id_; }
   const Resources& capacity() const { return capacity_; }
@@ -81,11 +86,14 @@ class Machine {
   }
 
  private:
+  // Re-derives ratios_ and thrashing_ from the demands; bumps
+  // *share_epoch_ if any of them changed value.
   void recompute();
 
   MachineId id_;
   Resources capacity_;
   const InterferenceModel* interference_;
+  std::uint64_t* share_epoch_;
   std::unordered_map<int, Resources> task_demands_;
   Resources total_task_demand_;
   std::array<int, kNumResources> demanding_count_{};

@@ -8,7 +8,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <memory_resource>
 #include <mutex>
 #include <queue>
 #include <sstream>
@@ -39,9 +38,6 @@ constexpr std::size_t kMaxShuffleSources = 8;
 // Cap on candidate tasks scanned per (group, machine) probe when hunting
 // for the best-locality task.
 constexpr std::size_t kMaxLocalityScan = 24;
-// Stack arena behind refresh_dirty()'s per-call task set: room for a few
-// hundred affected tasks before the set spills to the heap.
-constexpr std::size_t kDirtyArenaBytes = 16 * 1024;
 
 struct Event {
   enum class Type {
@@ -248,6 +244,9 @@ class Simulator {
   // ---- rate recomputation ----
   void mark_dirty(MachineId m);
   void refresh_dirty();
+  // Pushes refresh_dirty()'s buffered finish events in an order that pops
+  // exactly like a full recompute's (see DESIGN.md §8.6).
+  void push_refresh_events();
   void update_progress(TaskState& t);
   double compute_speed(const TaskState& t) const;
   double target_progress(const TaskState& t) const {
@@ -319,6 +318,18 @@ class Simulator {
 
   std::vector<char> dirty_flags_;
   std::vector<MachineId> dirty_list_;
+  // Rate-refresh state (DESIGN.md §8.6). Every machine bumps share_epoch_
+  // when one of its share ratios or its thrashing flag changes value;
+  // refreshed_epoch_ is its value at the last refresh walk, so a walk that
+  // finds them equal knows no running task's speed can have moved.
+  // refresh_stamp_ numbers the walks (TaskState::refresh_stamp dedups a
+  // task reached through several dirty machines) and refresh_events_
+  // buffers one walk's finish events until their push order is settled.
+  std::uint64_t share_epoch_ = 0;
+  std::uint64_t refreshed_epoch_ = 0;
+  std::uint64_t refresh_stamp_ = 0;
+  std::vector<Event> refresh_events_;
+  std::vector<double> refresh_times_;  // push_refresh_events() scratch
 
   // ---- scheduler-view caches (DESIGN.md §8; naive_scheduler_view
   // bypasses them all). Caches are lazy recompute-on-dirty, never
@@ -1047,7 +1058,7 @@ void Simulator::init_cluster() {
   machines_.reserve(caps.size());
   for (std::size_t m = 0; m < caps.size(); ++m) {
     machines_.emplace_back(static_cast<MachineId>(m), caps[m],
-                           &interference_);
+                           &interference_, &share_epoch_);
     cluster_capacity_ += caps[m];
     max_capacity_ = max_capacity_.cwise_max(caps[m]);
   }
@@ -1070,7 +1081,7 @@ void Simulator::init_cluster() {
       uplink /= config_.rack_oversubscription;
       machines_.emplace_back(
           static_cast<MachineId>(num_real_machines_ + rack), uplink,
-          &interference_);
+          &interference_, &share_epoch_);
     }
   }
 
@@ -2129,40 +2140,86 @@ double Simulator::compute_speed(const TaskState& t) const {
 
 void Simulator::refresh_dirty() {
   if (dirty_list_.empty()) return;
-  // Collect the tasks touching any dirty machine. The set's nodes and
-  // bucket arrays come from a stack arena (the heap only past it),
-  // released as the call returns. Container and hash stay those of
-  // std::unordered_set<int>, whose iteration order fixes the seq numbers
-  // of the finish events pushed below and so every equal-time tie-break.
-  alignas(std::max_align_t) std::byte arena_buf[kDirtyArenaBytes];
-  std::pmr::monotonic_buffer_resource arena(arena_buf, sizeof arena_buf);
-  std::pmr::unordered_set<int> affected(&arena);
+  // Share ratios only move inside Machine::recompute(), and every call
+  // that can move them marks its machine dirty before the next walk. So
+  // when the epoch has not moved since the last walk, a running task's
+  // speed is what it was last computed to be, and recomputing it could
+  // only hit the same-speed skip below.
+  const bool shares_moved = share_epoch_ != refreshed_epoch_;
+  refreshed_epoch_ = share_epoch_;
+  const std::uint64_t stamp = ++refresh_stamp_;
+  perf_.rate_refreshes++;
+  if (shares_moved) perf_.share_change_refreshes++;
+  refresh_events_.clear();
   for (MachineId m : dirty_list_) {
-    for (const auto& [uid, demand] : machines_[static_cast<std::size_t>(m)]
-                                         .demands()) {
-      affected.insert(uid);
+    for (const auto& [uid, demand] :
+         machines_[static_cast<std::size_t>(m)].demands()) {
+      TaskState& t = task_at(uid);
+      if (t.refresh_stamp == stamp) continue;  // reached via another machine
+      t.refresh_stamp = stamp;
+      if (t.status != TaskStatus::kRunning) continue;
+      // Bank progress at this instant regardless: later updates integrate
+      // from here, and the banked value must match a full recompute's.
+      update_progress(t);
+      const bool first_prediction = t.speed == 0 && t.progress == 0;
+      // speed < 0: read-failover sentinel, the placement itself changed.
+      if (!shares_moved && !first_prediction && t.speed >= 0) continue;
+      perf_.speed_recomputes++;
+      const double new_speed = compute_speed(t);
+      if (!first_prediction &&
+          std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
+        continue;
+      t.speed = new_speed;
+      t.generation++;
+      if (t.speed <= kSpeedEps) continue;  // stalled; re-predicted later
+      const double target = target_progress(t);
+      const double remaining =
+          std::max(0.0, target - t.progress + kProgressEps) *
+          t.placement.duration / t.speed;
+      refresh_events_.push_back(
+          {now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
     }
-    dirty_flags_[static_cast<std::size_t>(m)] = 0;
   }
+  push_refresh_events();  // re-walks dirty_list_ on a tie: clear after
+  for (MachineId m : dirty_list_) dirty_flags_[static_cast<std::size_t>(m)] = 0;
   dirty_list_.clear();
+}
 
-  for (int uid : affected) {
-    TaskState& t = task_at(uid);
-    if (t.status != TaskStatus::kRunning) continue;
-    update_progress(t);
-    const double new_speed = compute_speed(t);
-    const bool first_prediction = t.speed == 0 && t.progress == 0;
-    if (!first_prediction &&
-        std::abs(new_speed - t.speed) <= kSpeedEps * std::max(1.0, t.speed))
-      continue;
-    t.speed = new_speed;
-    t.generation++;
-    if (t.speed <= kSpeedEps) continue;  // stalled; re-predicted later
-    const double target = target_progress(t);
-    const double remaining =
-        std::max(0.0, target - t.progress + kProgressEps) *
-        t.placement.duration / t.speed;
-    push({now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+void Simulator::push_refresh_events() {
+  auto& events = refresh_events_;
+  // One walk's events take a contiguous block of seq numbers, and seq only
+  // orders events with equal times. With pairwise-distinct times any push
+  // order within the block pops identically, so walk order will do.
+  bool tie = false;
+  if (events.size() > 1) {
+    std::vector<double>& times = refresh_times_;
+    times.clear();
+    for (const Event& e : events) times.push_back(e.time);
+    std::sort(times.begin(), times.end());
+    tie = std::adjacent_find(times.begin(), times.end()) != times.end();
+  }
+  if (!tie) {
+    for (const Event& e : events) push(e);
+    return;
+  }
+  // Equal times: seq decides their pop order. The recorded schedules
+  // order such events by the iteration order of a std::unordered_set<int>
+  // given this walk's insertion sequence, so build it and push by it.
+  perf_.tie_fallback_refreshes++;
+  std::unordered_set<int> walk_order;
+  for (MachineId m : dirty_list_) {
+    for (const auto& [uid, demand] :
+         machines_[static_cast<std::size_t>(m)].demands()) {
+      walk_order.insert(uid);
+    }
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& x, const Event& y) { return x.a < y.a; });
+  for (int uid : walk_order) {
+    const auto it = std::lower_bound(
+        events.begin(), events.end(), uid,
+        [](const Event& e, int u) { return e.a < u; });
+    if (it != events.end() && it->a == uid) push(*it);
   }
 }
 

@@ -45,6 +45,16 @@ struct PerfCounters {
   // score_evals split by column shard; empty when every pass ran serial.
   std::vector<long> shard_score_evals;
 
+  // Event-core rate refresh (DESIGN.md §8.6): walks of the dirty
+  // machines, the walks that found a share ratio moved since the last
+  // one, the task speeds actually recomputed (all others kept their
+  // prediction), and the walks whose finish events tied in time and were
+  // pushed in the order-exact fallback.
+  long rate_refreshes = 0;
+  long share_change_refreshes = 0;
+  long speed_recomputes = 0;
+  long tie_fallback_refreshes = 0;
+
   // Streaming-ingestion bookkeeping (DESIGN.md §11); all zero in batch
   // mode. Peaks merge with max under +=, so aggregated counters report
   // the worst resident footprint any run reached.
@@ -84,6 +94,10 @@ struct PerfCounters {
     avail_recomputes += o.avail_recomputes;
     parallel_passes += o.parallel_passes;
     reduction_nanos += o.reduction_nanos;
+    rate_refreshes += o.rate_refreshes;
+    share_change_refreshes += o.share_change_refreshes;
+    speed_recomputes += o.speed_recomputes;
+    tie_fallback_refreshes += o.tie_fallback_refreshes;
     jobs_admitted += o.jobs_admitted;
     jobs_retired += o.jobs_retired;
     peak_resident_jobs = peak_resident_jobs > o.peak_resident_jobs

@@ -1,24 +1,51 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace tetris::workload {
+
+namespace {
+
+constexpr std::string_view kHeaderPrefix = "# tetris trace v1:";
+
+// Names are single whitespace-free tokens ("-" for empty), so a record's
+// field count is fixed and the reader can reject trailing tokens.
+const std::string& checked_name(const std::string& name, const char* what) {
+  static const std::string kEmpty = "-";
+  if (name.empty()) return kEmpty;
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  if (name == "-" || std::any_of(name.begin(), name.end(), space))
+    throw std::invalid_argument(std::string("cannot write ") + what +
+                                " name '" + name + "' to a text trace");
+  return name;
+}
+
+}  // namespace
 
 void write_trace(std::ostream& os, const sim::Workload& workload) {
   // Shortest round-trippable representation: replaying a written trace
   // must reproduce bit-identical simulations.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# tetris trace v1: " << workload.jobs.size() << " jobs, "
+  os << kHeaderPrefix << " " << workload.jobs.size() << " jobs, "
      << workload.total_tasks() << " tasks\n";
   for (const auto& job : workload.jobs) {
     os << "job " << job.arrival << " " << job.template_id << " "
-       << job.queue << " " << job.name << "\n";
+       << job.queue << " " << checked_name(job.name, "job") << "\n";
     for (const auto& stage : job.stages) {
-      os << "stage " << (stage.name.empty() ? "-" : stage.name);
+      os << "stage " << checked_name(stage.name, "stage");
       for (int d : stage.deps) os << " " << d;
       os << "\n";
       for (const auto& task : stage.tasks) {
@@ -48,6 +75,43 @@ namespace {
                            std::to_string(line) + ": " + what);
 }
 
+std::vector<std::string_view> tokenize(std::string_view line) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  const auto space = [&](std::size_t k) {
+    return std::isspace(static_cast<unsigned char>(line[k])) != 0;
+  };
+  while (i < line.size()) {
+    while (i < line.size() && space(i)) ++i;
+    const std::size_t begin = i;
+    while (i < line.size() && !space(i)) ++i;
+    if (i > begin) out.push_back(line.substr(begin, i - begin));
+  }
+  return out;
+}
+
+// Strict field parser: the whole token must be one in-range number, and
+// a finite one for doubles (unlike operator>>, std::from_chars reads no
+// "+", no leading space and no partial token).
+template <typename T>
+T parse(std::string_view tok, int line, const char* field) {
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok)
+    fail(line, std::string("bad ") + field + " '" + std::string(tok) + "'");
+  return v;
+}
+
+void expect_fields(const std::vector<std::string_view>& tok, std::size_t n,
+                   int line, const char* kind) {
+  if (tok.size() < n) fail(line, std::string("malformed ") + kind + " line");
+  if (tok.size() > n)
+    fail(line, std::string("trailing tokens on ") + kind + " line");
+}
+
 }  // namespace
 
 sim::Workload read_trace(std::istream& is) {
@@ -56,23 +120,39 @@ sim::Workload read_trace(std::istream& is) {
   sim::StageSpec* stage = nullptr;
   sim::TaskSpec* task = nullptr;
   std::size_t pending_splits = 0;
+  // Counts declared by the writer's header, when present.
+  long header_jobs = -1;
+  long header_tasks = -1;
 
   std::string line;
   int lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
+    // The writer ends every line with a newline: a last line without one
+    // is a cut in the middle of a record.
+    if (is.eof()) fail(lineno, "trace truncated: last line has no newline");
+    if (line.rfind(kHeaderPrefix, 0) == 0) {
+      const auto tok =
+          tokenize(std::string_view(line).substr(kHeaderPrefix.size()));
+      if (tok.size() != 4 || tok[1] != "jobs," || tok[3] != "tasks")
+        fail(lineno, "malformed trace header");
+      header_jobs = parse<long>(tok[0], lineno, "header job count");
+      header_tasks = parse<long>(tok[2], lineno, "header task count");
+      continue;
+    }
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
+    const auto tok = tokenize(line);
+    if (tok.empty()) continue;
+    const std::string_view kind = tok[0];
 
     if (kind == "job") {
       if (pending_splits > 0) fail(lineno, "job before all splits were read");
+      expect_fields(tok, 5, lineno, "job");
       sim::JobSpec j;
-      ls >> j.arrival >> j.template_id >> j.queue;
-      std::getline(ls, j.name);
-      if (!ls && j.name.empty()) fail(lineno, "malformed job line");
-      while (!j.name.empty() && j.name.front() == ' ') j.name.erase(0, 1);
+      j.arrival = parse<double>(tok[1], lineno, "arrival");
+      j.template_id = parse<int>(tok[2], lineno, "template id");
+      j.queue = parse<int>(tok[3], lineno, "queue");
+      if (tok[4] != "-") j.name = std::string(tok[4]);
       workload.jobs.push_back(std::move(j));
       job = &workload.jobs.back();
       stage = nullptr;
@@ -81,39 +161,55 @@ sim::Workload read_trace(std::istream& is) {
       if (job == nullptr) fail(lineno, "stage before any job");
       if (pending_splits > 0)
         fail(lineno, "stage before all splits were read");
+      if (tok.size() < 2) fail(lineno, "malformed stage line");
       sim::StageSpec s;
-      ls >> s.name;
-      if (s.name == "-") s.name.clear();
-      int dep;
-      while (ls >> dep) s.deps.push_back(dep);
+      if (tok[1] != "-") s.name = std::string(tok[1]);
+      for (std::size_t i = 2; i < tok.size(); ++i)
+        s.deps.push_back(parse<int>(tok[i], lineno, "stage dependency"));
       job->stages.push_back(std::move(s));
       stage = &job->stages.back();
       task = nullptr;
     } else if (kind == "task") {
       if (stage == nullptr) fail(lineno, "task before any stage");
       if (pending_splits > 0) fail(lineno, "task before all splits were read");
+      expect_fields(tok, 7, lineno, "task");
       sim::TaskSpec t;
-      ls >> t.cpu_cycles >> t.peak_cores >> t.peak_mem >> t.output_bytes >>
-          t.max_io_bw >> pending_splits;
-      if (!ls) fail(lineno, "malformed task line");
+      t.cpu_cycles = parse<double>(tok[1], lineno, "cpu cycles");
+      t.peak_cores = parse<double>(tok[2], lineno, "cores");
+      t.peak_mem = parse<double>(tok[3], lineno, "memory");
+      t.output_bytes = parse<double>(tok[4], lineno, "output bytes");
+      t.max_io_bw = parse<double>(tok[5], lineno, "io bandwidth");
+      pending_splits = parse<std::size_t>(tok[6], lineno, "split count");
       stage->tasks.push_back(std::move(t));
       task = &stage->tasks.back();
     } else if (kind == "split") {
       if (task == nullptr || pending_splits == 0)
         fail(lineno, "unexpected split line");
+      if (tok.size() < 3) fail(lineno, "malformed split line");
       sim::InputSplit split;
-      ls >> split.bytes >> split.from_stage;
-      if (!ls) fail(lineno, "malformed split line");
-      sim::MachineId r;
-      while (ls >> r) split.replicas.push_back(r);
+      split.bytes = parse<double>(tok[1], lineno, "split bytes");
+      split.from_stage = parse<int>(tok[2], lineno, "source stage");
+      for (std::size_t i = 3; i < tok.size(); ++i)
+        split.replicas.push_back(
+            parse<sim::MachineId>(tok[i], lineno, "replica"));
       task->inputs.push_back(std::move(split));
       --pending_splits;
     } else {
-      fail(lineno, "unknown record '" + kind + "'");
+      fail(lineno, "unknown record '" + std::string(kind) + "'");
     }
   }
   if (pending_splits > 0)
     fail(lineno, "trace truncated: splits missing for last task");
+  if (workload.jobs.empty()) fail(lineno, "empty trace: no jobs");
+  if (header_jobs >= 0 &&
+      (header_jobs != static_cast<long>(workload.jobs.size()) ||
+       header_tasks != static_cast<long>(workload.total_tasks()))) {
+    fail(lineno, "trace truncated or corrupt: header declares " +
+                     std::to_string(header_jobs) + " jobs, " +
+                     std::to_string(header_tasks) + " tasks; read " +
+                     std::to_string(workload.jobs.size()) + " jobs, " +
+                     std::to_string(workload.total_tasks()) + " tasks");
+  }
   if (auto msg = sim::validate(workload); !msg.empty())
     throw std::runtime_error("trace semantic error: " + msg);
   return workload;

@@ -9,6 +9,9 @@
 //   split <bytes> <from_stage> [replica ...]
 // Stages belong to the most recent job, tasks to the most recent stage,
 // splits to the most recent task; `nsplits` split lines follow each task.
+// Names are single tokens, "-" standing for an empty name. The writer
+// starts with a `# tetris trace v1: N jobs, M tasks` header comment and
+// ends every line with a newline.
 #pragma once
 
 #include <iosfwd>
@@ -18,10 +21,15 @@
 
 namespace tetris::workload {
 
+// Throws std::invalid_argument for a job or stage name the reader could
+// not read back (one containing whitespace, or "-").
 void write_trace(std::ostream& os, const sim::Workload& workload);
 std::string trace_to_string(const sim::Workload& workload);
 
-// Throws std::runtime_error with a line number on malformed input.
+// Throws std::runtime_error with a line number on malformed input: a
+// missing, extra or unparsable field, a non-finite number, an empty trace,
+// a last line without its newline, or job/task counts that disagree with
+// the header when one is present (a trace cut at a line boundary).
 sim::Workload read_trace(std::istream& is);
 sim::Workload trace_from_string(const std::string& text);
 

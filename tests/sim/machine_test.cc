@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/units.h"
 
 namespace tetris::sim {
@@ -108,6 +110,34 @@ TEST_F(MachineTest, MemoryOverCommitTriggersThrashing) {
   cpu_only[Resource::kCpu] = 1;
   EXPECT_NEAR(machine_.grant_ratio(cpu_only),
               interference_.mem_thrash_factor, 1e-12);
+}
+
+TEST(MachineShareEpoch, BumpsOnlyWhenARatioOrThrashingChanges) {
+  InterferenceModel interference;
+  const Resources cap = Resources::full(4, 8 * kGB, 100, 100, 125, 125);
+  std::uint64_t epoch = 0;
+  Machine m(0, cap, &interference, &epoch);
+  Resources cpu;
+  cpu[Resource::kCpu] = 3;
+  m.add_demand(1, cpu);  // 3 of 4 cores: every ratio stays 1
+  EXPECT_EQ(epoch, 0u);
+  m.add_demand(2, cpu);  // 6 of 4 cores: the cpu ratio moves
+  EXPECT_EQ(epoch, 1u);
+  Resources mem;
+  mem[Resource::kMem] = 4 * kGB;
+  m.add_demand(3, mem);  // memory is no ratio and 4 GB fits: no change
+  EXPECT_EQ(epoch, 1u);
+  m.add_demand(4, mem);
+  m.add_demand(5, mem);  // 12 GB on 8 GB: thrashing flips on
+  EXPECT_EQ(epoch, 2u);
+  Resources ext;
+  ext[Resource::kNetIn] = 50;  // no task demands the link: ratio stays 1
+  m.set_external_usage(ext);
+  EXPECT_EQ(epoch, 2u);
+  m.remove_demand(2);  // back to 3 cores; the cpu ratio returns to 1
+  EXPECT_EQ(epoch, 3u);
+  m.remove_demand(1);
+  EXPECT_EQ(epoch, 3u);
 }
 
 TEST_F(MachineTest, ExternalUsageSharesWithTasks) {

@@ -396,12 +396,14 @@ TEST(Simulator, BackgroundActivityContendsProportionally) {
   EXPECT_LT(r.tasks[0].duration(), 11.0);
 }
 
-// The simulator's rate refresh collects the tasks touching dirty machines
-// in a std::pmr::unordered_set<int> on a per-call stack arena, then pushes
-// a finish event per task in the set's iteration order — so event seq
-// numbers, and every equal-time tie-break, rest on that order matching
-// std::unordered_set<int>'s for the same insertions, whether the arena's
-// first buffer holds the whole set or it spills to the heap.
+// When one rate refresh produces finish events with equal times, the
+// simulator pushes them in the iteration order of a std::unordered_set<int>
+// filled by the refresh walk (DESIGN.md §8.6). Earlier revisions kept that
+// set on a std::pmr stack arena, and the recorded schedule digests
+// (perfbench/digests.json, tests/sim/event_core_golden_test.cc) carry its
+// order; they stay valid only while both containers iterate alike for the
+// same insertions, whether the arena's first buffer holds the whole set or
+// it spills to the heap.
 TEST(RefreshDirtyArena, PmrSetIteratesInStdOrder) {
   std::mt19937_64 rng(7);
   for (const std::size_t buffer_bytes : {std::size_t{256}, std::size_t{16384}}) {

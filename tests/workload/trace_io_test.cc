@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/units.h"
 #include "workload/suite.h"
@@ -128,6 +131,130 @@ TEST(TraceIo, RejectsSemanticErrors) {
   const std::string text =
       "job 0 -1 0 j\nstage s 7\ntask 1 1 1 0 1 0\n";
   EXPECT_THROW(trace_from_string(text), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsTrailingTokens) {
+  const std::string ok = "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 1\nsplit 1 -1 0\n";
+  EXPECT_NO_THROW(trace_from_string(ok));
+  for (const std::string bad : {
+           "job 0 -1 0 j extra\nstage s\ntask 1 1 1 0 1 0\n",
+           "job 0 -1 0 j\nstage s 0 x\ntask 1 1 1 0 1 0\n",
+           "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 0 junk\n",
+           "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 1\nsplit 1 -1 0 x\n",
+           "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 1\nsplit 1 -1 0x\n",
+       }) {
+    EXPECT_THROW(trace_from_string(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(TraceIo, RejectsNonFiniteAndOutOfRangeNumbers) {
+  for (const std::string field : {"nan", "inf", "-inf", "1e999", "+1"}) {
+    const std::string text =
+        "job 0 -1 0 j\nstage s\ntask " + field + " 1 1 0 1 0\n";
+    EXPECT_THROW(trace_from_string(text), std::runtime_error) << field;
+  }
+  EXPECT_THROW(trace_from_string("job 0 99999999999 0 j\nstage s\n"
+                                 "task 1 1 1 0 1 0\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string("job 0 -1 0 j\nstage s 99999999999\n"
+                                 "task 1 1 1 0 1 0\n"),
+               std::runtime_error);
+}
+
+TEST(TraceIo, RejectsEmptyTrace) {
+  EXPECT_THROW(trace_from_string(""), std::runtime_error);
+  EXPECT_THROW(trace_from_string("# just a comment\n\n"), std::runtime_error);
+  EXPECT_THROW(trace_from_string(trace_to_string(sim::Workload{})),
+               std::runtime_error);
+}
+
+TEST(TraceIo, ChecksHeaderCounts) {
+  const std::string body = "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 0\n";
+  EXPECT_NO_THROW(
+      trace_from_string("# tetris trace v1: 1 jobs, 1 tasks\n" + body));
+  EXPECT_THROW(
+      trace_from_string("# tetris trace v1: 2 jobs, 1 tasks\n" + body),
+      std::runtime_error);
+  EXPECT_THROW(
+      trace_from_string("# tetris trace v1: 1 jobs, 3 tasks\n" + body),
+      std::runtime_error);
+  EXPECT_THROW(trace_from_string("# tetris trace v1: lots of jobs\n" + body),
+               std::runtime_error);
+}
+
+TEST(TraceIo, RejectsNamesTheReaderCannotTokenize) {
+  sim::Workload w = sample_workload();
+  w.jobs[0].name = "two words";
+  EXPECT_THROW(trace_to_string(w), std::invalid_argument);
+  // Empty names are written as "-" and read back empty.
+  w.jobs[0].name.clear();
+  EXPECT_EQ(trace_from_string(trace_to_string(w)).jobs[0].name, "");
+}
+
+// A small trace that still has every record kind: multi-stage jobs,
+// tasks with and without input splits, shuffle splits.
+std::string small_trace() {
+  SuiteConfig cfg;
+  cfg.num_jobs = 2;
+  cfg.num_machines = 3;
+  cfg.task_scale = 0.01;
+  cfg.seed = 9;
+  return trace_to_string(make_suite_workload(cfg));
+}
+
+TEST(TraceIo, TruncationAtEveryPrefixIsRejected) {
+  const std::string full = small_trace();
+  ASSERT_NE(full.find("\nsplit "), std::string::npos);
+  ASSERT_NO_THROW(trace_from_string(full));
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    EXPECT_THROW(trace_from_string(full.substr(0, cut)), std::runtime_error)
+        << "prefix of " << cut << " of " << full.size() << " bytes accepted";
+  }
+}
+
+TEST(TraceIo, PerLineCorruptionIsRejected) {
+  const std::string full = small_trace();
+  std::vector<std::string> lines;
+  std::istringstream is(full);
+  for (std::string l; std::getline(is, l);) lines.push_back(l);
+  const auto with_line = [&](std::size_t i, const std::string& repl) {
+    std::string out;
+    for (std::size_t k = 0; k < lines.size(); ++k)
+      out += (k == i ? repl : lines[k]) + "\n";
+    return out;
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& l = lines[i];
+    SCOPED_TRACE("line " + std::to_string(i + 1) + ": " + l);
+    EXPECT_THROW(trace_from_string(with_line(i, l + " junk")),
+                 std::runtime_error);
+    if (l[0] == '#') continue;
+    // A dropped job, task or split line shifts the header counts or the
+    // split bookkeeping. (A dropped stage line merges two stages; the
+    // header counts only jobs and tasks, so that one can parse.)
+    if (l.rfind("stage", 0) != 0) {
+      std::string dropped;
+      for (std::size_t k = 0; k < lines.size(); ++k)
+        if (k != i) dropped += lines[k] + "\n";
+      EXPECT_THROW(trace_from_string(dropped), std::runtime_error);
+    }
+    // Every numeric field, replaced by garbage or a non-finite value.
+    std::istringstream ls(l);
+    std::vector<std::string> tok;
+    for (std::string t; ls >> t;) tok.push_back(t);
+    for (std::size_t f = 1; f < tok.size(); ++f) {
+      if (tok[0] == "job" && f == 4) continue;    // the name
+      if (tok[0] == "stage" && f == 1) continue;  // the name
+      for (const char* bad : {"x", "nan", "1e999"}) {
+        std::string corrupt = tok[0];
+        for (std::size_t k = 1; k < tok.size(); ++k)
+          corrupt += " " + (k == f ? std::string(bad) : tok[k]);
+        EXPECT_THROW(trace_from_string(with_line(i, corrupt)),
+                     std::runtime_error)
+            << corrupt;
+      }
+    }
+  }
 }
 
 TEST(TraceIo, FileRoundTrip) {
