@@ -111,7 +111,8 @@ std::string perf_counters_csv(const RunTag& tag,
           "avail_recomputes,simd_blocks,scalar_tail_evals,"
           "parallel_passes,reduction_seconds,cell_advance_seconds,"
           "idle_cell_skips,rate_refreshes,share_change_refreshes,"
-          "speed_recomputes,tie_fallback_refreshes,shard_evals\n";
+          "speed_recomputes,tie_fallback_refreshes,probe_copy_skips,"
+          "score_replays,shard_evals\n";
   }
   os << tag_prefix(tag) << "," << p.score_evals << "," << p.probes_issued << ","
      << p.probe_reuses << "," << p.sticky_rejects << "," << p.fit_index_skips
@@ -125,7 +126,8 @@ std::string perf_counters_csv(const RunTag& tag,
      << static_cast<double>(p.cell_advance_nanos) * 1e-9 << ","
      << p.idle_cell_skips << "," << p.rate_refreshes << ","
      << p.share_change_refreshes << "," << p.speed_recomputes << ","
-     << p.tie_fallback_refreshes << ",";
+     << p.tie_fallback_refreshes << "," << p.probe_copy_skips << ","
+     << p.score_replays << ",";
   // Per-shard score_evals as a ';'-joined list (empty for serial runs) so
   // the column count stays fixed across thread counts.
   for (std::size_t i = 0; i < p.shard_score_evals.size(); ++i)

@@ -61,6 +61,88 @@ TetrisScheduler::TetrisScheduler(TetrisConfig config)
         "simd must be SimdMode::kOff or SimdMode::kOn");
 }
 
+// The scan's per-pass working lists, kept across passes so steady-state
+// passes reuse their capacity instead of allocating (and regrowing) them.
+struct TetrisScheduler::PassScratch {
+  // One scored cell: |alignment| destined for the eps normalizer. Within
+  // a shard, records append in (row, column) scan order; the barrier
+  // concatenates shards in order and a stable sort by row restores the
+  // exact serial accumulation order (columns stay ordered because shards
+  // are contiguous and appended ascending; rows of different waves are
+  // disjoint).
+  struct ScoreRecord {
+    std::size_t g;
+    double abs_a;
+  };
+  // One cell whose fused fit + score evaluation is deferred to a batch
+  // flush, and one cell to revisit in the post-flush candidate scan;
+  // both lists keep the (row, column) scan order. A pending cell's score
+  // record is reserved at its scan position (`rec`, into the shard's
+  // records) and filled by the flush, so replayed cells — recorded on
+  // the spot — interleave with kernel-scored ones in scan order.
+  struct PendingCell {
+    std::size_t g;
+    int m;
+    std::size_t rec;
+  };
+  struct VisitCell {
+    std::size_t g;
+    int m;
+    double rem;  // the row's SRTF remaining-work term
+  };
+  struct alignas(64) ShardState {
+    int m_lo = 0;
+    int m_hi = 0;
+    util::PerfCounters pc;
+    std::vector<ScoreRecord> records;
+    std::vector<int> rej_delta;   // per-row cells newly rejected this wave
+    std::vector<char> drained;    // rows whose re-probe found no candidate
+    std::vector<PendingCell> pending;  // SIMD path: cells awaiting a flush
+    std::vector<VisitCell> visit;      // SIMD path: candidate-scan worklist
+    bool has_best = false;
+    double best_score = 0;
+    std::size_t best_g = 0;
+    int best_m = -1;
+    std::size_t first_candidate_row = 0;
+    // Accumulated worker wall-clock over the pass, for kShardTiming
+    // records; only measured while tracing (the clock reads cost).
+    long long scan_nanos = 0;
+  };
+  struct ScanRow {
+    std::size_t g;
+    double rem;  // the job's remaining work, for the SRTF term
+  };
+  // Fairness-cut sort key of one schedulable job (waved path).
+  struct EligKey {
+    double share;
+    SimTime arrival;
+    sim::JobId id;
+    std::uint32_t idx;
+  };
+
+  std::vector<std::pair<sim::JobId, std::size_t>> job_slots;
+  std::vector<Resources> extra;
+  std::vector<int> placed_from;
+  std::vector<EligKey> elig_keys;
+  std::vector<unsigned char> eligible_job;
+  std::vector<double> share_val;
+  std::vector<unsigned char> share_fresh;
+  std::vector<int> row_rejected;
+  util::ResourcePlanes group_demand;
+  std::vector<unsigned char> row_fit;
+  std::vector<int> tier_by_row;
+  std::vector<std::uint32_t> row_job;
+  std::vector<ShardState> shards;
+  std::vector<ScoreRecord> round_records;
+  std::vector<ScanRow> scan_rows;
+  std::array<std::vector<std::size_t>, 3> tier_rows;
+};
+
+TetrisScheduler::~TetrisScheduler() = default;
+TetrisScheduler::TetrisScheduler(TetrisScheduler&&) noexcept = default;
+TetrisScheduler& TetrisScheduler::operator=(TetrisScheduler&&) noexcept =
+    default;
+
 void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // Keep the report stream drained (a real deployment feeds the demand
   // estimator from it; the simulation's estimation model already reflects
@@ -101,8 +183,26 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   auto groups = ctx.runnable_groups();
   if (jobs.empty() || groups.empty()) return;
 
-  std::unordered_map<sim::JobId, std::size_t> job_index;
-  for (std::size_t i = 0; i < jobs.size(); ++i) job_index[jobs[i].id] = i;
+  // Per-pass buffers kept across passes (see PassScratch).
+  if (!scratch_) scratch_ = std::make_unique<PassScratch>();
+  PassScratch& scratch = *scratch_;
+
+  // Job id -> index into `jobs`: a sorted flat table (active_jobs()
+  // usually arrives sorted, so the sort is a check), no per-pass hashing.
+  auto& job_slots = scratch.job_slots;
+  job_slots.clear();
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    job_slots.emplace_back(jobs[i].id, i);
+  if (!std::is_sorted(job_slots.begin(), job_slots.end()))
+    std::sort(job_slots.begin(), job_slots.end());
+  const auto job_index = [&](sim::JobId id) {
+    const auto it = std::lower_bound(
+        job_slots.begin(), job_slots.end(),
+        std::pair<sim::JobId, std::size_t>{id, 0});
+    if (it == job_slots.end() || it->first != id)
+      throw std::out_of_range("group of a job missing from active_jobs()");
+    return it->second;
+  };
 
   // Scan-shape selectors, hoisted ahead of the eligibility machinery so
   // the waved path can pick its flat-array variants from the start.
@@ -128,8 +228,10 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
 
   // Extra allocation / placements committed during this pass, so the
   // fairness ordering tracks our own placements.
-  std::vector<Resources> extra(jobs.size());
-  std::vector<int> placed_from(jobs.size(), 0);
+  std::vector<Resources>& extra = scratch.extra;
+  std::vector<int>& placed_from = scratch.placed_from;
+  extra.assign(jobs.size(), Resources{});
+  placed_from.assign(jobs.size(), 0);
 
   // The fair schedulers Tetris generalizes offer resources among jobs that
   // *have pending tasks*; a job waiting at a barrier demands nothing and
@@ -195,21 +297,19 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // answers to eligible_jobs() without the per-round JobView copies, the
   // full sort, or the hash-set build. At 10K-task backlogs this runs once
   // per placement round and was a top-three term in pass latency.
-  struct EligKey {
-    double share;
-    SimTime arrival;
-    sim::JobId id;
-    std::uint32_t idx;
-  };
-  std::vector<EligKey> elig_keys;
-  std::vector<unsigned char> eligible_job(waved ? jobs.size() : 0);
+  using EligKey = PassScratch::EligKey;
+  std::vector<EligKey>& elig_keys = scratch.elig_keys;
+  std::vector<unsigned char>& eligible_job = scratch.eligible_job;
+  eligible_job.assign(waved ? jobs.size() : 0, 0);
   std::size_t eligible_count = 0;
   sim::JobView share_scratch;  // job_share reads only current_alloc
   // Per-job share cache: `jobs` is a pass-long snapshot and extra[i]
   // moves only for the job a round places, so every other job's share is
   // the same double at the next refresh — recompute just the stale one.
-  std::vector<double> share_val(waved ? jobs.size() : 0);
-  std::vector<unsigned char> share_fresh(waved ? jobs.size() : 0, 0);
+  std::vector<double>& share_val = scratch.share_val;
+  std::vector<unsigned char>& share_fresh = scratch.share_fresh;
+  share_val.assign(waved ? jobs.size() : 0, 0.0);
+  share_fresh.assign(waved ? jobs.size() : 0, 0);
   const auto refresh_eligible_waved = [&] {
     std::fill(eligible_job.begin(), eligible_job.end(), 0);
     eligible_count = 0;
@@ -218,7 +318,7 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       // off the hot path, so reuse the generic set computation and
       // project it onto the mask.
       const auto out = eligible_jobs();
-      for (const sim::JobId id : out) eligible_job[job_index.at(id)] = 1;
+      for (const sim::JobId id : out) eligible_job[job_index(id)] = 1;
       eligible_count = out.size();
       return;
     }
@@ -264,11 +364,14 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     eligible_count = take;
   };
 
-  const auto fits = [&](const sim::Probe& p) {
-    const Resources avail = ctx.available(p.machine);
+  // Admission of probe `p` given its machine's availability `avail`.
+  const auto fits_at = [&](const sim::Probe& p, const Resources& avail) {
     if (config_.only_cpu_mem) return sched::fits_cpu_mem(p.demand, avail);
     return sched::fits_all_local(p.demand, avail) &&
            (!config_.check_remote || sched::remote_legs_fit(ctx, p));
+  };
+  const auto fits = [&](const sim::Probe& p) {
+    return fits_at(p, ctx.available(p.machine));
   };
 
   // Selection tiers: 2 = starved (reservation extension), 1 = barrier
@@ -377,8 +480,10 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // full matrix reconstruction per pass.
   const std::size_t num_cells =
       num_groups * static_cast<std::size_t>(num_machines);
-  if (cell_slots_.size() < num_cells) {
-    cell_slots_.resize(num_cells);
+  if (cell_probes_.size() < num_cells) {
+    cell_probes_.resize(num_cells);
+    cell_alignment_.resize(num_cells);
+    cell_scored_epoch_.resize(num_cells);
     cell_fresh_.resize(num_cells);
     cell_rejected_.resize(num_cells);
     cell_probe_ok_.resize(num_cells);
@@ -388,12 +493,14 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   std::fill_n(cell_rejected_.begin(), num_cells, 0);
   std::fill_n(cell_probe_ok_.begin(), num_cells, 0);
   std::fill_n(cell_sticky_.begin(), num_cells, 0);
+  column_epoch_.resize(static_cast<std::size_t>(num_machines));
+  for (auto& epoch : column_epoch_) epoch = ++next_column_epoch_;
   const auto cidx = [num_machines](std::size_t g, int m) {
     return g * static_cast<std::size_t>(num_machines) +
            static_cast<std::size_t>(m);
   };
-  const auto cell = [&](std::size_t g, int m) -> CellSlot& {
-    return cell_slots_[cidx(g, m)];
+  const auto cell = [&](std::size_t g, int m) -> sim::Probe& {
+    return cell_probes_[cidx(g, m)];
   };
 
   // Count of fresh-and-rejected cells per row. When it reaches
@@ -401,11 +508,35 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // to date and skipped), so the round loop jumps the whole row. On a
   // saturated cluster most backlogged rows sit in this state, turning the
   // per-round cost from O(groups * machines) into O(groups).
-  std::vector<int> row_rejected(num_groups, 0);
+  std::vector<int>& row_rejected = scratch.row_rejected;
+  row_rejected.assign(num_groups, 0);
   const auto invalidate_column_cell = [&](std::size_t g, int m) {
     const std::size_t ci = cidx(g, m);
     if (cell_fresh_[ci] && cell_rejected_[ci]) row_rejected[g]--;
     cell_fresh_[ci] = 0;
+  };
+
+  // Alignment replay (off under naive_scoring): the cell's probe is the
+  // one its alignment was computed from (same nonzero stamp, so the same
+  // demand and local fraction), and its column was scored at the current
+  // version earlier in this pass (same availability and capacity). The
+  // kernel would recompute the same double from the same inputs.
+  const auto replayable = [&](std::size_t ci, int m) {
+    return !naive &&
+           cell_scored_epoch_[ci] == column_epoch_[static_cast<std::size_t>(m)];
+  };
+  const auto mark_scored = [&](std::size_t ci, int m, double a) {
+    cell_alignment_[ci] = a;
+    cell_scored_epoch_[ci] = column_epoch_[static_cast<std::size_t>(m)];
+  };
+  // Re-probes cell `ci` in place (its remote-leg buffer keeps its
+  // capacity); a probe whose stamp moved, or that has none, may differ
+  // from the one the cell's alignment was computed from.
+  const auto reprobe = [&](std::size_t ci, const sim::GroupRef& ref, int m) {
+    sim::Probe& p = cell_probes_[ci];
+    const std::uint64_t held = p.stamp;
+    ctx.probe_into(ref, m, &p);
+    if (held == 0 || p.stamp != held) cell_scored_epoch_[ci] = 0;
   };
 
   // Shared refresh core for the serial and the sharded scan. All mutable
@@ -421,7 +552,7 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
                                      bool locally_drained, bool* drained,
                                      auto&& on_score) {
     const std::size_t ci = cidx(g, m);
-    CellSlot& c = cell_slots_[ci];
+    const sim::Probe& probe = cell_probes_[ci];
     auto& group = groups[g];
     if (!naive && cell_rejected_[ci] && cell_sticky_[ci]) {
       // The rejection was a fit test against availability that has only
@@ -445,10 +576,9 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     // Cheap exact reject on the placement-independent dimensions.
     if (!sched::fits_cpu_mem(group.est_demand, avail)) return;
     if (naive || !cell_probe_ok_[ci]) {
-      // In place: the cell's remote-leg buffer keeps its capacity.
-      ctx.probe_into(group.ref, m, &c.probe);
+      reprobe(ci, group.ref, m);
       rpc.probes_issued++;
-      if (!c.probe.valid) {
+      if (!probe.valid) {
         *drained = true;
         return;
       }
@@ -456,15 +586,22 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     } else {
       rpc.probe_reuses++;
     }
-    if (!fits(c.probe)) return;
-    const Resources cap = ctx.capacity(m);
-    double a = alignment_score(config_.alignment,
-                               c.probe.demand.normalized_by(cap),
-                               avail.normalized_by(cap));
-    a *= 1.0 - config_.remote_penalty * (1.0 - c.probe.local_fraction);
-    rpc.score_evals++;
-    on_score(std::abs(a));
-    c.alignment = a;
+    // Admission always re-runs: a remote leg's source may have lost
+    // availability without this column moving.
+    if (!fits_at(probe, avail)) return;
+    if (replayable(ci, m)) {
+      rpc.score_replays++;
+      on_score(std::abs(cell_alignment_[ci]));
+    } else {
+      const Resources cap = ctx.capacity(m);
+      double a = alignment_score(config_.alignment,
+                                 probe.demand.normalized_by(cap),
+                                 avail.normalized_by(cap));
+      a *= 1.0 - config_.remote_penalty * (1.0 - probe.local_fraction);
+      rpc.score_evals++;
+      on_score(std::abs(a));
+      mark_scored(ci, m, a);
+    }
     cell_rejected_[ci] = 0;
     cell_sticky_[ci] = 0;
   };
@@ -481,36 +618,40 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // Phase-A half of a refresh under the SIMD path: everything
   // refresh_cell_with does up to the score itself — the sticky shortcut,
   // rejected-until-proven marking, runnable/up checks, the cheap cpu/mem
-  // reject, the probe, and the full admission test. Returns true iff the
-  // cell passed admission and its alignment must come from the score
-  // batch. Gating on the scalar `fits` here keeps the batch dense: a
-  // cell the serial loop rejects with a component compare never pays the
-  // gather + vector-lane cost (the kernel's own fused mask still covers
-  // its lanes, it just never fires on pre-admitted input).
+  // reject, the probe, and the full admission test. Returns whether the
+  // cell passed admission and, if so, whether its alignment must come
+  // from the score batch or is replayed from its earlier score. Gating
+  // on the scalar `fits` here keeps the batch dense: a cell the serial
+  // loop rejects with a component compare never pays the gather +
+  // vector-lane cost (the kernel's own fused mask still covers its
+  // lanes, it just never fires on pre-admitted input).
+  enum class Prepared { kRejected, kScore, kReplay };
   const auto prepare_cell = [&](std::size_t g, int m,
                                 util::PerfCounters& rpc, bool locally_drained,
-                                bool* drained) -> bool {
+                                bool* drained) -> Prepared {
     const std::size_t ci = cidx(g, m);
-    CellSlot& c = cell_slots_[ci];
+    const sim::Probe& probe = cell_probes_[ci];
     auto& group = groups[g];
     if (cell_rejected_[ci] && cell_sticky_[ci]) {  // never runs naive
       cell_fresh_[ci] = 1;
       rpc.sticky_rejects++;
-      return false;
+      return Prepared::kRejected;
     }
     cell_fresh_[ci] = 1;
     cell_rejected_[ci] = 1;
     cell_sticky_[ci] = 1;
-    if (group.runnable <= 0 || locally_drained) return false;
-    if (!ctx.machine_up(m)) return false;
-    if (!ctx.constraints_admit(group.ref, m)) return false;
-    if (!sched::fits_cpu_mem(group.est_demand, ctx.available(m))) return false;
+    constexpr Prepared kRejected = Prepared::kRejected;
+    if (group.runnable <= 0 || locally_drained) return kRejected;
+    if (!ctx.machine_up(m)) return kRejected;
+    if (!ctx.constraints_admit(group.ref, m)) return kRejected;
+    const Resources avail = ctx.available(m);
+    if (!sched::fits_cpu_mem(group.est_demand, avail)) return kRejected;
     if (!cell_probe_ok_[ci]) {
-      ctx.probe_into(group.ref, m, &c.probe);
+      reprobe(ci, group.ref, m);
       rpc.probes_issued++;
-      if (!c.probe.valid) {
+      if (!probe.valid) {
         *drained = true;
-        return false;
+        return kRejected;
       }
       cell_probe_ok_[ci] = 1;
     } else {
@@ -518,8 +659,8 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     }
     // Full admission, exactly the serial scan's test: a failing cell
     // stays rejected-and-sticky and never reaches the kernel.
-    if (!fits(c.probe)) return false;
-    return true;
+    if (!fits_at(probe, avail)) return kRejected;
+    return replayable(ci, m) ? Prepared::kReplay : Prepared::kScore;
   };
 
   // Free-capacity index: component-wise max availability over up
@@ -534,8 +675,8 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // index in one vector sweep per recompute, instead of a scalar
   // predicate call per row per round. est_demand is pass-constant, so the
   // planes are built once.
-  util::ResourcePlanes group_demand;
-  std::vector<unsigned char> row_fit;
+  util::ResourcePlanes& group_demand = scratch.group_demand;
+  std::vector<unsigned char>& row_fit = scratch.row_fit;
   if (use_simd) {
     group_demand.reset(num_groups);
     for (std::size_t g = 0; g < num_groups; ++g)
@@ -633,48 +774,18 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // replay below, bit-identical to the serial scan.
   if (parallel && !pool_)
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
-  // One scored cell: |alignment| destined for the eps normalizer. Within
-  // a shard, records append in (row, column) scan order; the barrier
-  // concatenates shards in order and a stable sort by row restores the
-  // exact serial accumulation order (columns stay ordered because shards
-  // are contiguous and appended ascending; rows of different waves are
-  // disjoint).
-  struct ScoreRecord {
-    std::size_t g;
-    double abs_a;
-  };
-  // One cell whose fused fit + score evaluation is deferred to a batch
-  // flush, and one cell to revisit in the post-flush candidate scan;
-  // both lists keep the (row, column) scan order.
-  struct PendingCell {
-    std::size_t g;
-    int m;
-  };
-  struct VisitCell {
-    std::size_t g;
-    int m;
-    double rem;  // the row's SRTF remaining-work term
-  };
-  struct alignas(64) ShardState {
-    int m_lo = 0;
-    int m_hi = 0;
-    util::PerfCounters pc;
-    std::vector<ScoreRecord> records;
-    std::vector<int> rej_delta;   // per-row cells newly rejected this wave
-    std::vector<char> drained;    // rows whose re-probe found no candidate
-    std::vector<PendingCell> pending;  // SIMD path: cells awaiting a flush
-    std::vector<VisitCell> visit;      // SIMD path: candidate-scan worklist
-    bool has_best = false;
-    double best_score = 0;
-    std::size_t best_g = 0;
-    int best_m = -1;
-    std::size_t first_candidate_row = 0;
-    // Accumulated worker wall-clock over the pass, for kShardTiming
-    // records; only measured while tracing (the clock reads cost).
-    long long scan_nanos = 0;
-  };
+  using ScoreRecord = PassScratch::ScoreRecord;
+  using VisitCell = PassScratch::VisitCell;
+  using ShardState = PassScratch::ShardState;
+  using ScanRow = PassScratch::ScanRow;
+  // Abs-alignment placeholder of a reserved record; every real |a| is
+  // >= 0 (or NaN), so the flush can drop records it never filled.
+  constexpr double kUnscored = -1.0;
   const int wave_shards = parallel ? num_shards : (waved ? 1 : 0);
-  std::vector<ShardState> shards(static_cast<std::size_t>(wave_shards));
+  // Shard states persist with their buffers' capacity; every field a
+  // pass reads is reset here or before its wave.
+  std::vector<ShardState>& shards = scratch.shards;
+  shards.resize(static_cast<std::size_t>(wave_shards));
   if (waved) {
     const int base = num_machines / wave_shards;
     const int rem = num_machines % wave_shards;
@@ -686,6 +797,8 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       lo = st.m_hi;
       st.rej_delta.assign(num_groups, 0);
       st.drained.assign(num_groups, 0);
+      st.pc = util::PerfCounters{};
+      st.scan_nanos = 0;
     }
   }
   if (parallel) {
@@ -702,39 +815,43 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // loop would rebuild its set. All of it is exact: same tier values,
   // same eligibility answers, same counters — only the lookups are
   // cheaper.
-  std::vector<int> tier_by_row(waved ? num_groups : 0);
-  std::vector<std::uint32_t> row_job(waved ? num_groups : 0);
+  std::vector<int>& tier_by_row = scratch.tier_by_row;
+  std::vector<std::uint32_t>& row_job = scratch.row_job;
+  tier_by_row.assign(waved ? num_groups : 0, 0);
+  row_job.assign(waved ? num_groups : 0, 0);
   if (waved) {
     for (std::size_t g = 0; g < num_groups; ++g) {
       tier_by_row[g] = tier_of(groups[g]);
       row_job[g] =
-          static_cast<std::uint32_t>(job_index.at(groups[g].ref.job));
+          static_cast<std::uint32_t>(job_index(groups[g].ref.job));
     }
   }
   // Rows of each tier in ascending order, rebuilt per round in one O(G)
   // sweep so each wave walks only its own rows.
-  std::array<std::vector<std::size_t>, 3> tier_rows;
+  auto& tier_rows = scratch.tier_rows;
 
   // Drains a shard's pending cells through the vector kernel in scan
   // order, lane_width() lanes per block. Every pending cell already
   // passed the full scalar admission in Phase A, so each lane scores
-  // exactly as the scalar path would: same counter bump, same on_score
-  // value, same cell writeback — and its provisional rejection is
-  // undone. The kernel's fused fit mask is a no-op on this input by the
-  // lane-for-lane identity with the scalar predicates (unit-tested); it
-  // stays as a guard.
-  const auto flush_pending = [&](ShardState& st, auto&& on_score) {
+  // exactly as the scalar path would: same counter bump, same |a| in the
+  // record reserved at its scan position, same cell writeback — and its
+  // provisional rejection is undone. The kernel's fused fit mask is a
+  // no-op on this input by the lane-for-lane identity with the scalar
+  // predicates (unit-tested); it stays as a guard, whose unfilled
+  // records are dropped.
+  const auto flush_pending = [&](ShardState& st) {
     const auto width = static_cast<std::size_t>(simd::lane_width());
     simd::ScoreBlock block;
     simd::ScoreOut res;
+    bool unfilled = false;
     std::size_t i = 0;
     while (i < st.pending.size()) {
       const std::size_t n = std::min(width, st.pending.size() - i);
       for (std::size_t l = 0; l < n; ++l) {
-        const auto [g, m] = st.pending[i + l];
-        const CellSlot& c = cell(g, m);
+        const auto [g, m, rec] = st.pending[i + l];
+        const sim::Probe& probe = cell(g, m);
         for (std::size_t r = 0; r < kNumResources; ++r)
-          block.demand[r][l] = c.probe.demand.at(r);
+          block.demand[r][l] = probe.demand.at(r);
         if (avail_planes != nullptr && cap_planes != nullptr) {
           for (std::size_t r = 0; r < kNumResources; ++r) {
             block.avail[r][l] =
@@ -749,20 +866,23 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
             block.cap[r][l] = cp.at(r);
           }
         }
-        block.local_fraction[l] = c.probe.local_fraction;
+        block.local_fraction[l] = probe.local_fraction;
       }
       block.n = n;
       simd::score_block(config_.alignment, config_.remote_penalty,
                         config_.only_cpu_mem, block, &res, &st.pc.simd_blocks,
                         &st.pc.scalar_tail_evals);
       for (std::size_t l = 0; l < n; ++l) {
-        const auto [g, m] = st.pending[i + l];
-        if (!res.fit[l]) continue;
+        const auto [g, m, rec] = st.pending[i + l];
+        if (!res.fit[l]) {
+          unfilled = true;
+          continue;
+        }
         const std::size_t ci = cidx(g, m);
         const double a = res.score[l];
         st.pc.score_evals++;
-        on_score(g, std::abs(a));
-        cell_slots_[ci].alignment = a;
+        st.records[rec].abs_a = std::abs(a);
+        mark_scored(ci, m, a);
         cell_rejected_[ci] = 0;
         cell_sticky_[ci] = 0;
         st.rej_delta[g]--;  // provisional rejection undone
@@ -770,13 +890,14 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       i += n;
     }
     st.pending.clear();
+    if (unfilled) {
+      std::erase_if(st.records, [](const ScoreRecord& r) {
+        return r.abs_a == kUnscored;
+      });
+    }
   };
-  struct ScanRow {
-    std::size_t g;
-    double rem;  // the job's remaining work, for the SRTF term
-  };
-  std::vector<ScanRow> scan_rows;
-  std::vector<ScoreRecord> round_records;
+  std::vector<ScanRow>& scan_rows = scratch.scan_rows;
+  std::vector<ScoreRecord>& round_records = scratch.round_records;
   using Clock = std::chrono::steady_clock;
 
   while (true) {
@@ -793,7 +914,7 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     std::vector<std::vector<std::pair<double, double>>> claims;
     if (!imminent_demands.empty()) claims = future_claims();
 
-    std::ptrdiff_t best_ci = -1;  // index into cell_slots_, -1 = none
+    std::ptrdiff_t best_ci = -1;  // cell index, -1 = none
     std::size_t best_group = 0;
     double best_score = 0;
     int best_tier = -1;
@@ -810,7 +931,7 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
         if (tier < best_tier) continue;
         const double rem =
             config_.srtf_weight > 0
-                ? jobs[job_index.at(group.ref.job)].remaining_work
+                ? jobs[job_index(group.ref.job)].remaining_work
                 : 0.0;
         // Free-capacity index: if the group's cpu/mem estimate exceeds
         // even the component-wise max availability, every machine would
@@ -837,21 +958,21 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
             if (cell_rejected_[ci]) row_rejected[g]++;
           }
           if (cell_rejected_[ci]) continue;
-          const CellSlot& c = cell_slots_[ci];
+          const double alignment = cell_alignment_[ci];
           // Future hold-back: a better-aligned stage unblocks here before
           // this (longer) candidate would release the resources.
           if (tier == 0 && !claims.empty()) {
             bool held = false;
             for (const auto& [align, eta] :
                  claims[static_cast<std::size_t>(m)]) {
-              if (align > c.alignment && c.probe.duration > eta) {
+              if (align > alignment && cell_probes_[ci].duration > eta) {
                 held = true;
                 break;
               }
             }
             if (held) continue;
           }
-          const double score = c.alignment - round_eps * rem;
+          const double score = alignment - round_eps * rem;
           if (best_ci < 0 || tier > best_tier ||
               (tier == best_tier && score > best_score)) {
             best_ci = static_cast<std::ptrdiff_t>(ci);
@@ -932,19 +1053,19 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
                   if (cell_rejected_[ci]) st.rej_delta[g]++;
                 }
                 if (cell_rejected_[ci]) continue;
-                const CellSlot& c = cell_slots_[ci];
+                const double alignment = cell_alignment_[ci];
                 if (tier == 0 && !claims.empty()) {
                   bool held = false;
                   for (const auto& [align, eta] :
                        claims[static_cast<std::size_t>(m)]) {
-                    if (align > c.alignment && c.probe.duration > eta) {
+                    if (align > alignment && cell_probes_[ci].duration > eta) {
                       held = true;
                       break;
                     }
                   }
                   if (held) continue;
                 }
-                const double score = c.alignment - round_eps * row.rem;
+                const double score = alignment - round_eps * row.rem;
                 if (st.first_candidate_row == num_groups)
                   st.first_candidate_row = g;
                 // Strict > keeps the first-encountered candidate on score
@@ -959,11 +1080,12 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
             }
           } else {
             // SIMD path, three phases per wave. Phase A walks the wave's
-            // cells in scan order, does the Phase-A half of each stale
-            // cell's refresh, and provisionally counts it rejected;
-            // cells whose fit + score are pending join the batch list,
-            // and every potentially live cell joins the revisit list —
-            // both in walk order.
+            // cells in scan order and does the Phase-A half of each stale
+            // cell's refresh. A replayed cell is final on the spot; one
+            // whose fit + score is pending is provisionally counted
+            // rejected, reserves its score record and joins the batch
+            // list; every potentially live cell joins the revisit list —
+            // all in walk order.
             st.pending.clear();
             st.visit.clear();
             for (const ScanRow& row : scan_rows) {
@@ -973,12 +1095,21 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
                 const std::size_t ci = cidx(g, m);
                 if (!cell_fresh_[ci]) {
                   bool drained = false;
-                  const bool batch_me =
+                  const Prepared prep =
                       prepare_cell(g, m, st.pc, st.drained[g] != 0, &drained);
                   if (drained) st.drained[g] = 1;
+                  if (prep == Prepared::kReplay) {
+                    st.pc.score_replays++;
+                    st.records.push_back({g, std::abs(cell_alignment_[ci])});
+                    cell_rejected_[ci] = 0;
+                    cell_sticky_[ci] = 0;
+                    st.visit.push_back({g, m, row.rem});
+                    continue;
+                  }
                   st.rej_delta[g]++;  // provisional; the flush undoes it
-                  if (batch_me) {
-                    st.pending.push_back({g, m});
+                  if (prep == Prepared::kScore) {
+                    st.pending.push_back({g, m, st.records.size()});
+                    st.records.push_back({g, kUnscored});
                     st.visit.push_back({g, m, row.rem});
                   }
                 } else if (!cell_rejected_[ci]) {
@@ -986,30 +1117,28 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
                 }
               }
             }
-            // Phase B: fused fit + alignment over the batch, in scan
-            // order, recording eps contributions like the per-cell path.
-            flush_pending(st, [&](std::size_t g, double abs_a) {
-              st.records.push_back({g, abs_a});
-            });
+            // Phase B: fused fit + alignment over the batch, filling the
+            // eps contributions reserved in scan order.
+            flush_pending(st);
             // Phase C: candidate scan over the surviving cells — same
             // hold-back, first-candidate and best-update rules as the
             // interleaved walk, now over known alignments.
             for (const VisitCell& v : st.visit) {
               const std::size_t ci = cidx(v.g, v.m);
               if (cell_rejected_[ci]) continue;
-              const CellSlot& c = cell_slots_[ci];
+              const double alignment = cell_alignment_[ci];
               if (tier == 0 && !claims.empty()) {
                 bool held = false;
                 for (const auto& [align, eta] :
                      claims[static_cast<std::size_t>(v.m)]) {
-                  if (align > c.alignment && c.probe.duration > eta) {
+                  if (align > alignment && cell_probes_[ci].duration > eta) {
                     held = true;
                     break;
                   }
                 }
                 if (held) continue;
               }
-              const double score = c.alignment - round_eps * v.rem;
+              const double score = alignment - round_eps * v.rem;
               if (st.first_candidate_row == num_groups)
                 st.first_candidate_row = v.g;
               if (!st.has_best || score > st.best_score) {
@@ -1040,8 +1169,13 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
         const auto barrier_start =
             parallel ? Clock::now() : Clock::time_point{};
         for (auto& st : shards) {
-          round_records.insert(round_records.end(), st.records.begin(),
-                               st.records.end());
+          // The common single-shard single-wave round moves its records
+          // instead of copying them.
+          if (round_records.empty())
+            round_records.swap(st.records);
+          else
+            round_records.insert(round_records.end(), st.records.begin(),
+                                 st.records.end());
           st.records.clear();
           for (const ScanRow& row : scan_rows) {
             row_rejected[row.g] += st.rej_delta[row.g];
@@ -1080,11 +1214,14 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       // of different waves are disjoint, so a stable sort by row restores
       // the exact serial addition order — FP addition is not associative,
       // and eps feeds every later round's scores.
+      // A single wave already emits its rows in order; the sort (and its
+      // merge buffer) is only needed when waves or shards interleave.
       const auto replay_start = parallel ? Clock::now() : Clock::time_point{};
-      std::stable_sort(round_records.begin(), round_records.end(),
-                       [](const ScoreRecord& a, const ScoreRecord& b) {
-                         return a.g < b.g;
-                       });
+      const auto by_row = [](const ScoreRecord& a, const ScoreRecord& b) {
+        return a.g < b.g;
+      };
+      if (!std::is_sorted(round_records.begin(), round_records.end(), by_row))
+        std::stable_sort(round_records.begin(), round_records.end(), by_row);
       for (const auto& r : round_records) {
         alignment_sum_ += r.abs_a;
         alignment_count_++;
@@ -1103,22 +1240,25 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     }
 
     if (best_ci < 0) break;
-    CellSlot& best = cell_slots_[static_cast<std::size_t>(best_ci)];
+    const auto best_cell = static_cast<std::size_t>(best_ci);
+    const sim::Probe& best = cell_probes_[best_cell];
     // Re-validate against live availability: a cached probe's *remote*
     // legs may have been consumed by a placement on a third machine whose
     // column this cell does not share.
-    if (!fits(best.probe)) {
-      cell_rejected_[static_cast<std::size_t>(best_ci)] = 1;
+    if (!fits(best)) {
+      cell_rejected_[best_cell] = 1;
       row_rejected[best_group]++;
       continue;
     }
-    const sim::Probe placed = best.probe;
+    // The cell's probe is only rewritten by next round's refresh, so the
+    // placement can read it in place.
+    const sim::Probe& placed = best;
     if (!ctx.place(placed)) {
       // Stale probe: the candidate set changed under us. Not an
       // availability-monotone rejection — leave sticky unset and drop the
       // probe so the next refresh recomputes from scratch, as naive does.
-      cell_rejected_[static_cast<std::size_t>(best_ci)] = 1;
-      cell_probe_ok_[static_cast<std::size_t>(best_ci)] = 0;
+      cell_rejected_[best_cell] = 1;
+      cell_probe_ok_[best_cell] = 0;
       row_rejected[best_group]++;
       continue;
     }
@@ -1139,12 +1279,12 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       ev.e = best_tier;
       ev.f = static_cast<std::int64_t>(waved ? eligible_count
                                              : eligible.size());
-      ev.x = best.alignment;
-      ev.y = best.alignment - best_score;  // eps * p_hat SRTF penalty
+      ev.x = cell_alignment_[best_cell];
+      ev.y = cell_alignment_[best_cell] - best_score;  // eps * p_hat SRTF
       tracer->record(ev);
     }
     last_placement_[group_key(placed.group)] = ctx.now();
-    const auto ji = job_index.at(placed.group.job);
+    const auto ji = job_index(placed.group.job);
     extra[ji] += placed.demand;
     placed_from[ji]++;
     if (waved) share_fresh[ji] = 0;  // its share key just moved
@@ -1174,6 +1314,13 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       cell_sticky_[ci] = 0;
     }
     row_rejected[best_group] = 0;
+    column_epoch_[static_cast<std::size_t>(placed.machine)] =
+        ++next_column_epoch_;
+    for (const auto& leg : placed.remote) {
+      if (leg.machine < num_machines)
+        column_epoch_[static_cast<std::size_t>(leg.machine)] =
+            ++next_column_epoch_;
+    }
     for (std::size_t g = 0; g < num_groups; ++g) {
       invalidate_column_cell(g, placed.machine);
       for (const auto& leg : placed.remote) {

@@ -23,6 +23,7 @@
 //     stage of the DAG while consuming few resources).
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -146,6 +147,9 @@ struct TetrisConfig {
 class TetrisScheduler final : public sim::Scheduler {
  public:
   explicit TetrisScheduler(TetrisConfig config = {});
+  ~TetrisScheduler() override;
+  TetrisScheduler(TetrisScheduler&&) noexcept;
+  TetrisScheduler& operator=(TetrisScheduler&&) noexcept;
 
   std::string name() const override { return config_.name; }
   void schedule(sim::SchedulerContext& ctx) override;
@@ -176,6 +180,9 @@ class TetrisScheduler final : public sim::Scheduler {
   // Lazily created on the first pass when num_threads >= 1, then reused
   // for every subsequent pass; workers idle between passes.
   std::unique_ptr<util::ThreadPool> pool_;
+  // The scan's working lists (defined in the .cc), kept across passes.
+  struct PassScratch;
+  std::unique_ptr<PassScratch> scratch_;
   // Running average of |alignment| across the scheduler's lifetime; the
   // a_bar of eps = a_bar / p_bar. Frozen at the start of every candidate
   // round so simultaneous candidates are compared under one eps.
@@ -188,23 +195,31 @@ class TetrisScheduler final : public sim::Scheduler {
   // Highest retirement watermark already pruned from last_placement_.
   sim::JobId pruned_before_ = 0;
   // Persistent <group, machine> cell matrix in structure-of-arrays form
-  // (DESIGN.md §12.5): the heavy payload (probe + alignment) lives in
-  // slots that survive across passes — so every probe keeps its
-  // remote-leg buffer capacity — while the per-pass scan flags are
-  // separate byte planes reset with four fills. Constructing and
-  // destroying the matrix each pass (megabytes of value-init plus a
+  // (DESIGN.md §12.5): the heavy payload (probe) lives in slots that
+  // survive across passes — so every probe keeps its remote-leg buffer
+  // capacity — next to a dense alignment plane, while the per-pass scan
+  // flags are separate byte planes reset with four fills. Constructing
+  // and destroying the matrix each pass (megabytes of value-init plus a
   // vector free per probed cell) was a top slice of pass latency.
   // Rows are positional per pass; slot contents are only read after this
   // pass's refresh, so stale payloads are never observed.
-  struct CellSlot {
-    sim::Probe probe;
-    double alignment = 0;
-  };
-  std::vector<CellSlot> cell_slots_;
+  std::vector<sim::Probe> cell_probes_;
+  std::vector<double> cell_alignment_;
+  // Alignment replay (DESIGN.md §8.2): a cell's alignment was computed
+  // from its probe against its column's availability at this version
+  // (0: no valid score; zeroed whenever a re-probe may have changed the
+  // probe). While the column is still at that version, a stale cell's
+  // score is that same double, so it is replayed instead of recomputed.
+  std::vector<std::uint64_t> cell_scored_epoch_;
   std::vector<unsigned char> cell_fresh_;     // probe + alignment up to date
   std::vector<unsigned char> cell_rejected_;  // does not fit; may be sticky
   std::vector<unsigned char> cell_probe_ok_;  // probe matches candidate set
   std::vector<unsigned char> cell_sticky_;    // rejection monotone in avail
+  // Per-machine column version: a fresh value at every pass start and at
+  // every invalidation of the column, drawn from one lifetime counter so
+  // no value recurs across passes.
+  std::vector<std::uint64_t> column_epoch_;
+  std::uint64_t next_column_epoch_ = 0;
 };
 
 }  // namespace tetris::core

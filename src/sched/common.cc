@@ -28,43 +28,19 @@ bool remote_legs_fit(const sim::SchedulerContext& ctx, const sim::Probe& p) {
   return true;
 }
 
-std::optional<sim::Probe> best_machine_for_group(
-    sim::SchedulerContext& ctx, const sim::GroupView& group,
-    const std::function<bool(const sim::Probe&)>& fits,
-    const MachinePrefilter& prefilter) {
-  std::optional<sim::Probe> best;
-  int scanned = 0;
-  for (int m = 0; m < ctx.num_machines(); ++m) {
-    if (!ctx.machine_up(m)) continue;  // failed and not yet recovered
-    if (!ctx.constraints_admit(group.ref, m)) continue;  // can't legally host
-    if (prefilter && !prefilter(ctx.available(m))) continue;
-    scanned++;
-    sim::Probe p = ctx.probe(group.ref, m);
-    if (!p.valid || !fits(p)) continue;
-    if (!best || p.local_fraction > best->local_fraction) {
-      best = std::move(p);
-      if (best->local_fraction >= 1.0) break;
-    }
-  }
-  if (auto* tracer = ctx.tracer()) {
-    trace::Event ev;
-    ev.kind = trace::EventKind::kGroupScan;
-    ev.time = ctx.now();
-    ev.a = group.ref.job;
-    ev.b = group.ref.stage;
-    ev.c = best ? best->machine : -1;
-    ev.d = scanned;
-    ev.x = best ? best->local_fraction : 0.0;
-    tracer->record(ev);
-  }
-  return best;
-}
-
-MachinePrefilter cpu_mem_prefilter(const sim::GroupView& group) {
-  const Resources demand = group.est_demand;
-  return [demand](const Resources& avail) {
-    return fits_cpu_mem(demand, avail);
-  };
+void record_group_scan(sim::SchedulerContext& ctx, const sim::GroupView& group,
+                       const sim::Probe* best, int scanned) {
+  auto* tracer = ctx.tracer();
+  if (tracer == nullptr) return;
+  trace::Event ev;
+  ev.kind = trace::EventKind::kGroupScan;
+  ev.time = ctx.now();
+  ev.a = group.ref.job;
+  ev.b = group.ref.stage;
+  ev.c = best ? best->machine : -1;
+  ev.d = scanned;
+  ev.x = best ? best->local_fraction : 0.0;
+  tracer->record(ev);
 }
 
 }  // namespace tetris::sched

@@ -18,6 +18,8 @@ void ConstrainedRandomScheduler::schedule(sim::SchedulerContext& ctx) {
   };
 
   std::vector<int> feasible;
+  // One probe buffer for the whole pass: re-probes keep its capacity.
+  sim::Probe probe;
   std::vector<char> blocked(groups.size(), 0);
   std::size_t unblocked = groups.size();
   while (unblocked > 0) {
@@ -49,9 +51,9 @@ void ConstrainedRandomScheduler::schedule(sim::SchedulerContext& ctx) {
       const int m = feasible[j];
       feasible[j] = feasible[remaining - 1];
       remaining--;
-      sim::Probe p = ctx.probe(group.ref, m);
-      if (!p.valid || !fits(p)) continue;
-      if (ctx.place(p)) {
+      ctx.probe_into(group.ref, m, &probe);
+      if (!probe.valid || !fits(probe)) continue;
+      if (ctx.place(probe)) {
         group.runnable--;
         placed = true;
         break;

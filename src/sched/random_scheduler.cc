@@ -15,6 +15,8 @@ void RandomScheduler::schedule(sim::SchedulerContext& ctx) {
            remote_legs_fit(ctx, p);
   };
 
+  // One probe buffer for the whole pass: re-probes keep its capacity.
+  sim::Probe probe;
   std::vector<char> blocked(groups.size(), 0);
   std::size_t unblocked = groups.size();
   while (unblocked > 0) {
@@ -36,9 +38,9 @@ void RandomScheduler::schedule(sim::SchedulerContext& ctx) {
       const int m = (start + k) % n;
       if (!ctx.machine_up(m)) continue;
       if (!ctx.constraints_admit(group.ref, m)) continue;
-      sim::Probe p = ctx.probe(group.ref, m);
-      if (!p.valid || !fits(p)) continue;
-      if (ctx.place(p)) {
+      ctx.probe_into(group.ref, m, &probe);
+      if (!probe.valid || !fits(probe)) continue;
+      if (ctx.place(probe)) {
         group.runnable--;
         placed = true;
         break;

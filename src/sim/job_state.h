@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/locality_window.h"
 #include "sim/placement.h"
 #include "sim/scheduler.h"
 #include "sim/spec.h"
@@ -86,19 +87,19 @@ struct StageState {
   std::uint64_t runnable_version = 0;
   // Locality window (DESIGN.md §12.5): local_fraction(task, m) of the
   // tasks in the first kMaxLocalityScan slots of runnable_indices against
-  // every real machine, row-major [slot * machines + m]. Kept in step with
-  // runnable_indices by the simulator's add_runnable/remove_runnable, so
-  // a placement rewrites at most one row. Empty under the naive view.
-  std::vector<double> locality;
-  // Per window row: inputs_available() as of churn epoch `viable_epoch`;
-  // refreshed lazily by the first probe after the epoch moves.
-  std::vector<unsigned char> viable;
-  std::uint64_t viable_epoch = 0;
+  // every real machine, with each machine's best-locality slot. Kept in
+  // step with runnable_indices by the simulator's add_runnable /
+  // remove_runnable, so a placement rewrites at most one row; viability
+  // is refreshed lazily by the first probe after the churn epoch moves.
+  // Empty under the naive view.
+  LocalityWindow window;
   // Cross-pass probe memo, one slot per real machine (DESIGN.md §8). A
   // probe is a pure function of (chosen task, machine, churn epoch,
   // profile epoch, finished count), so a slot replays while the window
   // still picks the same task, however the rest of the runnable set
-  // moved. Sized when the stage becomes runnable, freed when it is done.
+  // moved. Every fill stamps its probe afresh (Probe::stamp), so a caller
+  // whose probe already carries the slot's stamp holds the same bytes.
+  // Sized when the stage becomes runnable, freed when it is done.
   struct ProbeMemo {
     int task_index = -1;  // -1: never filled
     std::uint64_t churn_version = 0;

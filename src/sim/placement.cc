@@ -99,10 +99,12 @@ bool inputs_available(const TaskSpec& task,
   return true;
 }
 
-PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
-                                  const std::vector<ResolvedSplit>& splits) {
-  PlacementDemand pd;
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            const std::vector<ResolvedSplit>& splits,
+                            PlacementDemand* out) {
+  PlacementDemand& pd = *out;
   pd.host = host;
+  pd.remote.clear();
 
   // Aggregate bytes per source machine. One call per probe miss: the
   // aggregation buffer is reused per thread rather than reallocated.
@@ -151,16 +153,24 @@ PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
   for (const auto& [m, b] : remote_bytes) {
     pd.remote.push_back({m, b / duration, b / duration});
   }
-  return pd;
 }
 
 PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
                                   unsigned long long salt,
                                   const std::vector<char>* machine_up) {
+  PlacementDemand pd;
+  compute_placement_into(task, host, salt, machine_up, &pd);
+  return pd;
+}
+
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            unsigned long long salt,
+                            const std::vector<char>* machine_up,
+                            PlacementDemand* out) {
   thread_local std::vector<ResolvedSplit> resolved;
   thread_local std::vector<MachineId> live;
   resolve_splits_into(task.inputs, host, salt, machine_up, resolved, live);
-  return compute_placement(task, host, resolved);
+  compute_placement_into(task, host, resolved, out);
 }
 
 PlacementDemand compute_local_placement(const TaskSpec& task) {

@@ -77,14 +77,21 @@ std::vector<ResolvedSplit> resolve_splits(
     unsigned long long salt, const std::vector<char>* machine_up = nullptr);
 
 // Computes the demand rates and natural duration of `task` on `host` with
-// the given resolved inputs.
-PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
-                                  const std::vector<ResolvedSplit>& splits);
+// the given resolved inputs into *out: every field is overwritten and the
+// remote-leg vector keeps its capacity, so a caller reusing one
+// PlacementDemand computes without allocating.
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            const std::vector<ResolvedSplit>& splits,
+                            PlacementDemand* out);
 
-// Convenience: resolve + compute in one call.
+// Resolve + compute in one call, by value or into *out.
 PlacementDemand compute_placement(const TaskSpec& task, MachineId host,
                                   unsigned long long salt,
                                   const std::vector<char>* machine_up = nullptr);
+void compute_placement_into(const TaskSpec& task, MachineId host,
+                            unsigned long long salt,
+                            const std::vector<char>* machine_up,
+                            PlacementDemand* out);
 
 // True iff every replicated split still has a replica on an up machine.
 // Tasks whose data is entirely offline cannot run anywhere and must wait

@@ -11,6 +11,7 @@
 // over-allocation and reclaim behaviour come from.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,13 @@ struct Probe {
   double duration = 0;             // estimated
   double local_fraction = 1.0;     // fraction of input read locally
   double task_work = 0;            // this task's estimated resource use
+  // Identity of the probe's bytes (DESIGN.md §8.3): nonzero only for a
+  // probe copied out of the context's probe memo, unique to that memo
+  // fill across every simulation in the process. Two probes with equal
+  // nonzero stamps are equal field for field. 0 means "no stamp" and
+  // never matches: invalid probes and the naive view carry it. A caller
+  // that edits a probe it keeps must zero the stamp.
+  std::uint64_t stamp = 0;
 };
 
 // A task currently running, as visible to schedulers that preempt.
@@ -199,6 +207,8 @@ class SchedulerContext {
   // buffers (the remote-leg vector) keep their capacity across re-probes.
   // The tetris scan re-acquires probes at every runnable-set bump, which
   // made the per-call vector churn a measurable slice of pass latency.
+  // When *out already carries the stamp of the probe the context would
+  // write, it may return without touching *out (the bytes are equal).
   // Default forwards to probe() for contexts that don't override.
   virtual void probe_into(const GroupRef& group, MachineId machine,
                           Probe* out) const {

@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -38,6 +39,15 @@ constexpr std::size_t kMaxShuffleSources = 8;
 // Cap on candidate tasks scanned per (group, machine) probe when hunting
 // for the best-locality task.
 constexpr std::size_t kMaxLocalityScan = 24;
+static_assert(kMaxLocalityScan <= 127,
+              "LocalityWindow keeps row indices as int8_t");
+// Probe stamps (DESIGN.md §8.3) must be unique across every simulator in
+// the process: a scheduler's cells outlive a simulation, and federated
+// cells run on pool threads. Each simulator hands out stamps from blocks
+// of kStampBlock drawn from this counter, so the hot path takes no
+// atomic per memo fill. Block 0 is never drawn, so no stamp is 0.
+constexpr std::uint64_t kStampBlock = std::uint64_t{1} << 32;
+std::atomic<std::uint64_t> g_stamp_blocks{0};
 
 struct Event {
   enum class Type {
@@ -352,6 +362,17 @@ class Simulator {
   // probe concurrently (DESIGN.md §9). The probe computation itself runs
   // outside it.
   mutable std::mutex probe_mu_;
+  // Next probe-memo stamp to hand out (see kStampBlock); 0 before the
+  // first block is drawn. Caller holds probe_mu_.
+  std::uint64_t next_stamp_ = 0;
+  std::uint64_t take_probe_stamp() {
+    if ((next_stamp_ & (kStampBlock - 1)) == 0) {
+      next_stamp_ =
+          (g_stamp_blocks.fetch_add(1, std::memory_order_relaxed) + 1) *
+          kStampBlock;
+    }
+    return next_stamp_++;
+  }
   // Best-locality candidate for `machine` from the stage's locality
   // window (first strict improvement wins, early out once fully local);
   // refreshes the window's viability flags first if the churn epoch
@@ -361,7 +382,8 @@ class Simulator {
   // Writes window row `slot` for `task`: its local fraction on every real
   // machine (bit-identical to local_fraction()) and its viability.
   void set_locality_row(StageState& stage, std::size_t slot,
-                        const TaskState& task) const;
+                        const TaskState& task);
+  std::vector<double> locality_row_;  // set_locality_row() scratch
   // Group-estimate memo (est_demand / est_duration / est_task_work per
   // stage), valid while the stage's runnable set (it picks the
   // representative task), finished count and the profiling epoch (both
@@ -688,25 +710,32 @@ Probe Simulator::ContextImpl::probe(const GroupRef& group,
 
 void Simulator::ContextImpl::probe_into(const GroupRef& group,
                                         MachineId machine, Probe* out) const {
-  // Reset in place: everything but the remote vector's capacity.
   Probe& p = *out;
-  p.valid = false;
-  p.group = group;
-  p.machine = machine;
-  p.task_index = -1;
-  p.demand = Resources{};
-  p.remote.clear();
-  p.duration = 0;
-  p.local_fraction = 1.0;
-  p.task_work = 0;
+  // Reset in place: everything but the remote vector's capacity. Deferred
+  // to each exit that writes, so a stamped memo hit can leave *out as is.
+  const auto reset = [&] {
+    p.valid = false;
+    p.group = group;
+    p.machine = machine;
+    p.task_index = -1;
+    p.demand = Resources{};
+    p.remote.clear();
+    p.duration = 0;
+    p.local_fraction = 1.0;
+    p.task_work = 0;
+    p.stamp = 0;
+  };
   // Down machines admit nothing; uplink ids are not placement targets.
   if (machine < 0 || machine >= sim_.num_real_machines_ ||
-      !sim_.machine_is_up(machine))
+      !sim_.machine_is_up(machine) || !sim_.has_job(group.job)) {
+    reset();
     return;
-  if (!sim_.has_job(group.job)) return;
+  }
   JobState& job = sim_.job_at(group.job);
-  if (group.stage < 0 || group.stage >= static_cast<int>(job.stages.size()))
+  if (group.stage < 0 || group.stage >= static_cast<int>(job.stages.size())) {
+    reset();
     return;
+  }
   StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
 
   // Best-locality candidate among runnable tasks (bounded scan).
@@ -733,6 +762,7 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       }
       if (best_frac >= 1.0) break;
     }
+    reset();
     if (best < 0) return;
   } else {
     // Fast path: the stage's locality window picks the candidate (values
@@ -744,23 +774,34 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
     // probes replay verbatim even across placements in the same stage.
     std::lock_guard<std::mutex> lock(sim_.probe_mu_);
     sim_.pick_local_candidate(stage, machine, &best, &best_frac);
-    if (best < 0) return;
+    if (best < 0) {
+      reset();
+      return;
+    }
     const StageState::ProbeMemo& e =
         stage.probe_memo[static_cast<std::size_t>(machine)];
     if (e.task_index == best && e.churn_version == sim_.churn_version_ &&
         e.profile_version == sim_.profile_version_ &&
         e.finished == stage.finished) {
       sim_.perf_.probe_cache_hits++;
+      // Same stamp, same bytes: the caller already holds this probe.
+      if (p.stamp == e.probe.stamp) {
+        sim_.perf_.probe_copy_skips++;
+        return;
+      }
       p = e.probe;
       return;
     }
   }
+  if (!naive) reset();
 
   const TaskState& task = stage.tasks[static_cast<std::size_t>(best)];
-  PlacementDemand pd =
-      compute_placement(task.spec, machine,
-                        static_cast<unsigned long long>(task.uid),
-                        sim_.up_mask());
+  // Per thread (column shards probe concurrently), so a miss computes
+  // without allocating.
+  thread_local PlacementDemand pd;
+  compute_placement_into(task.spec, machine,
+                         static_cast<unsigned long long>(task.uid),
+                         sim_.up_mask(), &pd);
   sim_.add_rack_legs(machine, pd);
   const EstFactors f = sim_.est_factors(job, group.stage);
 
@@ -801,54 +842,39 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   e.churn_version = sim_.churn_version_;
   e.profile_version = sim_.profile_version_;
   e.finished = stage.finished;
+  p.stamp = sim_.take_probe_stamp();
   e.probe = p;
   sim_.perf_.probe_cache_misses++;
 }
 
 void Simulator::pick_local_candidate(StageState& stage, MachineId machine,
                                      int* best, double* best_frac) const {
-  if (stage.viable_epoch != churn_version_) {
+  LocalityWindow& w = stage.window;
+  if (w.viable_epoch != churn_version_) {
     // machine_up_ only changes with churn_version_, so the flags stay
     // exact until the next epoch.
-    for (std::size_t c = 0; c < stage.viable.size(); ++c) {
+    for (std::size_t c = 0; c < w.rows(); ++c) {
       const TaskState& task =
           stage.tasks[static_cast<std::size_t>(stage.runnable_indices[c])];
-      stage.viable[c] =
+      w.viable[c] =
           down_count_ == 0 || inputs_available(task.spec, machine_up_);
     }
-    stage.viable_epoch = churn_version_;
+    w.rebuild();
+    w.viable_epoch = churn_version_;
   }
-  // Same argmax as the naive per-machine scan.
-  *best = -1;
-  *best_frac = -1;
-  const auto machines = static_cast<std::size_t>(num_real_machines_);
-  for (std::size_t c = 0; c < stage.viable.size(); ++c) {
-    if (!stage.viable[c]) continue;
-    const double frac =
-        stage.locality[c * machines + static_cast<std::size_t>(machine)];
-    if (frac > *best_frac) {
-      *best_frac = frac;
-      *best = stage.runnable_indices[c];
-    }
-    if (*best_frac >= 1.0) break;
-  }
+  // The kept first-max row: the naive per-machine scan's argmax.
+  const int slot = w.best_row(static_cast<std::size_t>(machine), best_frac);
+  *best = slot < 0 ? -1
+                   : stage.runnable_indices[static_cast<std::size_t>(slot)];
 }
 
 void Simulator::set_locality_row(StageState& stage, std::size_t slot,
-                                 const TaskState& task) const {
+                                 const TaskState& task) {
   const auto machines = static_cast<std::size_t>(num_real_machines_);
-  if (slot == stage.viable.size()) {
-    stage.viable.push_back(1);
-    stage.locality.resize((slot + 1) * machines);
-  }
-  // Tasks whose every replica of some input is down cannot run anywhere
-  // until a recovery; they stay runnable but are not candidates.
-  stage.viable[slot] =
-      down_count_ == 0 || inputs_available(task.spec, machine_up_);
   // Accumulate each machine's local bytes split-major — the exact
   // addition order local_fraction() uses per machine — then divide.
-  double* local = stage.locality.data() + slot * machines;
-  std::fill(local, local + machines, 0.0);
+  locality_row_.assign(machines, 0.0);
+  double* local = locality_row_.data();
   double total = 0;
   for (const auto& split : task.spec.inputs) {
     if (split.bytes <= 0) continue;
@@ -871,6 +897,11 @@ void Simulator::set_locality_row(StageState& stage, std::size_t slot,
   } else {
     std::fill(local, local + machines, 1.0);
   }
+  // Tasks whose every replica of some input is down cannot run anywhere
+  // until a recovery; they stay runnable but are not candidates.
+  const bool viable =
+      down_count_ == 0 || inputs_available(task.spec, machine_up_);
+  stage.window.set_row(slot, local, viable);
 }
 
 bool Simulator::ContextImpl::place(const Probe& probe) {
@@ -1798,11 +1829,14 @@ void Simulator::add_runnable(StageState& stage, int task_index) {
   stage.wait_fifo.emplace_back(task_index, now_);
   runnable_total_++;
   if (config_.naive_scheduler_view) return;
-  // First runnable task: size the stage's probe memo (freed when done).
-  if (stage.probe_memo.empty())
+  // First runnable task: size the stage's probe memo and locality
+  // window (both freed when the stage is done).
+  if (stage.probe_memo.empty()) {
     stage.probe_memo.resize(static_cast<std::size_t>(num_real_machines_));
+    stage.window.init(static_cast<std::size_t>(num_real_machines_));
+  }
   // An empty window holds no stale viability flag to refresh.
-  if (stage.viable.empty()) stage.viable_epoch = churn_version_;
+  if (stage.window.rows() == 0) stage.window.viable_epoch = churn_version_;
   if (pos < kMaxLocalityScan) set_locality_row(stage, pos, task);
 }
 
@@ -1821,17 +1855,9 @@ void Simulator::remove_runnable(StageState& stage, int task_index) {
   // changes. Below the window's end the last row moves down and the
   // window shrinks; otherwise a task from past the window enters it.
   const auto slot = static_cast<std::size_t>(pos);
-  if (config_.naive_scheduler_view || slot >= stage.viable.size()) return;
-  if (last_pos < stage.viable.size()) {
-    const auto machines = static_cast<std::size_t>(num_real_machines_);
-    const auto rows = stage.locality.begin();
-    if (slot != last_pos) {
-      std::copy_n(rows + static_cast<std::ptrdiff_t>(last_pos * machines),
-                  machines, rows + static_cast<std::ptrdiff_t>(slot * machines));
-    }
-    stage.viable[slot] = stage.viable[last_pos];
-    stage.viable.pop_back();
-    stage.locality.resize(last_pos * machines);
+  if (config_.naive_scheduler_view || slot >= stage.window.rows()) return;
+  if (last_pos < stage.window.rows()) {
+    stage.window.remove_row(slot);
   } else {
     set_locality_row(stage, slot,
                      stage.tasks[static_cast<std::size_t>(last)]);
@@ -2079,8 +2105,7 @@ void Simulator::complete_task(int uid, bool failed,
   if (stage.done()) {
     // Nothing probes a done stage again: free its memo and window.
     stage.probe_memo = {};
-    stage.locality = {};
-    stage.viable = {};
+    stage.window = {};
     for (int s2 = 0; s2 < static_cast<int>(job.stages.size()); ++s2) {
       StageState& other = job.stages[static_cast<std::size_t>(s2)];
       if (std::find(other.deps.begin(), other.deps.end(), loc.stage) ==

@@ -13,7 +13,11 @@ namespace tetris::util {
 
 struct PerfCounters {
   // Scheduler-side (per candidate <group, machine> cell):
-  long score_evals = 0;      // alignment scores computed
+  long score_evals = 0;      // alignment scores computed (kernel runs)
+  // Stale cells whose |a| was replayed from this pass's earlier score of
+  // the same probe on the same column (DESIGN.md §8.2); score_evals +
+  // score_replays is the number of eps-normalizer contributions.
+  long score_replays = 0;
   long probes_issued = 0;    // ctx.probe() calls made by the scheduler
   long probe_reuses = 0;     // stale cells rescored from a kept probe
   long sticky_rejects = 0;   // stale cells skipped: rejection is monotone
@@ -31,6 +35,8 @@ struct PerfCounters {
   // Simulator-side (SchedulerContext caches):
   long probe_cache_hits = 0;       // probes answered from the cross-pass memo
   long probe_cache_misses = 0;     // probes computed and memoized
+  // Memo hits whose caller already held the slot's stamp: nothing copied.
+  long probe_copy_skips = 0;
   long estimate_cache_hits = 0;    // group-estimate memo hits
   long estimate_cache_misses = 0;  // group-estimate recomputes
   long avail_cache_hits = 0;       // machines whose availability was reused
@@ -79,6 +85,7 @@ struct PerfCounters {
 
   PerfCounters& operator+=(const PerfCounters& o) {
     score_evals += o.score_evals;
+    score_replays += o.score_replays;
     probes_issued += o.probes_issued;
     probe_reuses += o.probe_reuses;
     sticky_rejects += o.sticky_rejects;
@@ -88,6 +95,7 @@ struct PerfCounters {
     scalar_tail_evals += o.scalar_tail_evals;
     probe_cache_hits += o.probe_cache_hits;
     probe_cache_misses += o.probe_cache_misses;
+    probe_copy_skips += o.probe_copy_skips;
     estimate_cache_hits += o.estimate_cache_hits;
     estimate_cache_misses += o.estimate_cache_misses;
     avail_cache_hits += o.avail_cache_hits;

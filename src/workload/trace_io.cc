@@ -33,6 +33,13 @@ const std::string& checked_name(const std::string& name, const char* what) {
   return name;
 }
 
+long total_stages(const sim::Workload& workload) {
+  long n = 0;
+  for (const auto& job : workload.jobs)
+    n += static_cast<long>(job.stages.size());
+  return n;
+}
+
 }  // namespace
 
 void write_trace(std::ostream& os, const sim::Workload& workload) {
@@ -40,7 +47,8 @@ void write_trace(std::ostream& os, const sim::Workload& workload) {
   // must reproduce bit-identical simulations.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << kHeaderPrefix << " " << workload.jobs.size() << " jobs, "
-     << workload.total_tasks() << " tasks\n";
+     << total_stages(workload) << " stages, " << workload.total_tasks()
+     << " tasks\n";
   for (const auto& job : workload.jobs) {
     os << "job " << job.arrival << " " << job.template_id << " "
        << job.queue << " " << checked_name(job.name, "job") << "\n";
@@ -120,8 +128,10 @@ sim::Workload read_trace(std::istream& is) {
   sim::StageSpec* stage = nullptr;
   sim::TaskSpec* task = nullptr;
   std::size_t pending_splits = 0;
-  // Counts declared by the writer's header, when present.
+  // Counts declared by the writer's header, when present (the stage count
+  // only in headers that carry it).
   long header_jobs = -1;
+  long header_stages = -1;
   long header_tasks = -1;
 
   std::string line;
@@ -134,10 +144,16 @@ sim::Workload read_trace(std::istream& is) {
     if (line.rfind(kHeaderPrefix, 0) == 0) {
       const auto tok =
           tokenize(std::string_view(line).substr(kHeaderPrefix.size()));
-      if (tok.size() != 4 || tok[1] != "jobs," || tok[3] != "tasks")
+      // "N jobs, M tasks", or "N jobs, S stages, M tasks".
+      const bool with_stages = tok.size() == 6;
+      if ((tok.size() != 4 && !with_stages) || tok[1] != "jobs," ||
+          (with_stages && tok[3] != "stages,") || tok.back() != "tasks")
         fail(lineno, "malformed trace header");
       header_jobs = parse<long>(tok[0], lineno, "header job count");
-      header_tasks = parse<long>(tok[2], lineno, "header task count");
+      if (with_stages)
+        header_stages = parse<long>(tok[2], lineno, "header stage count");
+      header_tasks =
+          parse<long>(tok[tok.size() - 2], lineno, "header task count");
       continue;
     }
     if (line.empty() || line[0] == '#') continue;
@@ -201,13 +217,18 @@ sim::Workload read_trace(std::istream& is) {
   if (pending_splits > 0)
     fail(lineno, "trace truncated: splits missing for last task");
   if (workload.jobs.empty()) fail(lineno, "empty trace: no jobs");
+  const long stages = total_stages(workload);
   if (header_jobs >= 0 &&
       (header_jobs != static_cast<long>(workload.jobs.size()) ||
+       (header_stages >= 0 && header_stages != stages) ||
        header_tasks != static_cast<long>(workload.total_tasks()))) {
+    const std::string declared_stages =
+        header_stages >= 0 ? std::to_string(header_stages) + " stages, " : "";
     fail(lineno, "trace truncated or corrupt: header declares " +
                      std::to_string(header_jobs) + " jobs, " +
-                     std::to_string(header_tasks) + " tasks; read " +
-                     std::to_string(workload.jobs.size()) + " jobs, " +
+                     declared_stages + std::to_string(header_tasks) +
+                     " tasks; read " + std::to_string(workload.jobs.size()) +
+                     " jobs, " + std::to_string(stages) + " stages, " +
                      std::to_string(workload.total_tasks()) + " tasks");
   }
   if (auto msg = sim::validate(workload); !msg.empty())

@@ -10,8 +10,9 @@
 // Stages belong to the most recent job, tasks to the most recent stage,
 // splits to the most recent task; `nsplits` split lines follow each task.
 // Names are single tokens, "-" standing for an empty name. The writer
-// starts with a `# tetris trace v1: N jobs, M tasks` header comment and
-// ends every line with a newline.
+// starts with a `# tetris trace v1: N jobs, S stages, M tasks` header
+// comment and ends every line with a newline; the reader also accepts the
+// older `N jobs, M tasks` header, which cannot catch a lost stage line.
 #pragma once
 
 #include <iosfwd>
@@ -28,8 +29,9 @@ std::string trace_to_string(const sim::Workload& workload);
 
 // Throws std::runtime_error with a line number on malformed input: a
 // missing, extra or unparsable field, a non-finite number, an empty trace,
-// a last line without its newline, or job/task counts that disagree with
-// the header when one is present (a trace cut at a line boundary).
+// a last line without its newline, or job/stage/task counts that disagree
+// with the header when one is present (a trace cut at a line boundary, or
+// a lost record line).
 sim::Workload read_trace(std::istream& is);
 sim::Workload trace_from_string(const std::string& text);
 

@@ -172,6 +172,14 @@ TEST(TraceIo, ChecksHeaderCounts) {
   const std::string body = "job 0 -1 0 j\nstage s\ntask 1 1 1 0 1 0\n";
   EXPECT_NO_THROW(
       trace_from_string("# tetris trace v1: 1 jobs, 1 tasks\n" + body));
+  EXPECT_NO_THROW(trace_from_string(
+      "# tetris trace v1: 1 jobs, 1 stages, 1 tasks\n" + body));
+  EXPECT_THROW(trace_from_string(
+                   "# tetris trace v1: 1 jobs, 2 stages, 1 tasks\n" + body),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string(
+                   "# tetris trace v1: 1 jobs, 1 stage, 1 tasks\n" + body),
+               std::runtime_error);
   EXPECT_THROW(
       trace_from_string("# tetris trace v1: 2 jobs, 1 tasks\n" + body),
       std::runtime_error);
@@ -180,6 +188,20 @@ TEST(TraceIo, ChecksHeaderCounts) {
       std::runtime_error);
   EXPECT_THROW(trace_from_string("# tetris trace v1: lots of jobs\n" + body),
                std::runtime_error);
+}
+
+TEST(TraceIo, DroppedStageLineIsRejected) {
+  // The second stage's line lost: its task merges into the first stage,
+  // which only the header's stage count can tell.
+  const std::string body =
+      "job 0 -1 0 j\nstage a\ntask 1 1 1 0 1 0\n"
+      "task 1 1 1 0 1 0\n";
+  EXPECT_THROW(trace_from_string(
+                   "# tetris trace v1: 1 jobs, 2 stages, 2 tasks\n" + body),
+               std::runtime_error);
+  // The old two-count header still reads, and cannot tell.
+  EXPECT_NO_THROW(
+      trace_from_string("# tetris trace v1: 1 jobs, 2 tasks\n" + body));
 }
 
 TEST(TraceIo, RejectsNamesTheReaderCannotTokenize) {
@@ -229,10 +251,9 @@ TEST(TraceIo, PerLineCorruptionIsRejected) {
     EXPECT_THROW(trace_from_string(with_line(i, l + " junk")),
                  std::runtime_error);
     if (l[0] == '#') continue;
-    // A dropped job, task or split line shifts the header counts or the
-    // split bookkeeping. (A dropped stage line merges two stages; the
-    // header counts only jobs and tasks, so that one can parse.)
-    if (l.rfind("stage", 0) != 0) {
+    // A dropped job, stage, task or split line shifts the header counts
+    // or the split bookkeeping.
+    {
       std::string dropped;
       for (std::size_t k = 0; k < lines.size(); ++k)
         if (k != i) dropped += lines[k] + "\n";
