@@ -24,6 +24,15 @@ enum class TaskStatus {
   kFinished,
 };
 
+// Multipliers an estimation mode applies to a stage's true demands and
+// duration (the identity under kOracle). Probes and group estimates are
+// pure functions of them, so the simulator's memos key on their value.
+struct EstFactors {
+  Resources demand = Resources::uniform(1.0);
+  double duration = 1.0;
+  bool operator==(const EstFactors&) const = default;
+};
+
 struct TaskState {
   // The task's spec with shuffle splits materialized (rewritten to concrete
   // sources once the upstream stage finished).
@@ -95,16 +104,15 @@ struct StageState {
   LocalityWindow window;
   // Cross-pass probe memo, one slot per real machine (DESIGN.md §8). A
   // probe is a pure function of (chosen task, machine, churn epoch,
-  // profile epoch, finished count), so a slot replays while the window
-  // still picks the same task, however the rest of the runnable set
-  // moved. Every fill stamps its probe afresh (Probe::stamp), so a caller
-  // whose probe already carries the slot's stamp holds the same bytes.
+  // estimation factors), so a slot replays while the window still picks
+  // the same task, however the rest of the runnable set moved. Every fill
+  // stamps its probe afresh (Probe::stamp), so a caller whose probe
+  // already carries the slot's stamp holds the same bytes.
   // Sized when the stage becomes runnable, freed when it is done.
   struct ProbeMemo {
     int task_index = -1;  // -1: never filled
     std::uint64_t churn_version = 0;
-    std::uint64_t profile_version = 0;
-    int finished = -1;
+    EstFactors factors;
     Probe probe;
   };
   std::vector<ProbeMemo> probe_memo;

@@ -74,15 +74,16 @@ struct EventLater {
   }
 };
 
+// Where task uid's state lives. `task` is set once the job sits in jobs_
+// (append_job) and stays valid until the job retires: stage.tasks is
+// reserved to its final size and never grows, the stages vector is
+// complete before the job is pushed, and jobs_ is a deque that only
+// pushes back and pops front, so no element ever moves.
 struct TaskLoc {
   JobId job;
   int stage;
   int index;
-};
-
-struct EstFactors {
-  Resources demand = Resources::uniform(1.0);
-  double duration = 1.0;
+  TaskState* task = nullptr;
 };
 
 class Simulator;
@@ -213,11 +214,9 @@ class Simulator {
 
   // ---- task lifecycle ----
   TaskState& task_at(int uid) {
-    const TaskLoc& l =
-        locs_[static_cast<std::size_t>(static_cast<long>(uid) - locs_base_)];
-    return job_at(l.job)
-        .stages[static_cast<std::size_t>(l.stage)]
-        .tasks[static_cast<std::size_t>(l.index)];
+    return *locs_[static_cast<std::size_t>(static_cast<long>(uid) -
+                                           locs_base_)]
+                .task;
   }
   const TaskState& task_at(int uid) const {
     return const_cast<Simulator*>(this)->task_at(uid);
@@ -252,6 +251,10 @@ class Simulator {
   double stage_longest_wait(StageState& stage) const;
 
   // ---- rate recomputation ----
+  // Registers / removes task t's demand on machine m together with its
+  // entry in m's resident list; every demand change goes through these.
+  void add_demand(MachineId m, TaskState& t, const Resources& demand);
+  void remove_demand(MachineId m, TaskState& t);
   void mark_dirty(MachineId m);
   void refresh_dirty();
   // Pushes refresh_dirty()'s buffered finish events in an order that pops
@@ -310,6 +313,13 @@ class Simulator {
   long resident_jobs_ = 0;   // admitted minus retired
   long resident_tasks_ = 0;
   bool next_deferred_ = false;  // current head-of-source already counted
+  // The source's next job, from a successful peek, kept until next()
+  // consumes it: JobSource::peek does not consume, so asking again would
+  // return the same answer (DESIGN.md §11.2). A false answer is never
+  // kept, because a push-queue source (a federation cell's) refills
+  // between steps.
+  JobPeek head_;
+  bool head_cached_ = false;
   // Incremental makespan accounting (batch recomputes these at the end;
   // streaming cannot, the records are folded away).
   SimTime first_arrival_ = std::numeric_limits<double>::infinity();
@@ -328,6 +338,13 @@ class Simulator {
 
   std::vector<char> dirty_flags_;
   std::vector<MachineId> dirty_list_;
+  // Per machine (rack uplinks included): the running tasks whose demand is
+  // registered there, as host or as remote leg — the same set as the
+  // machine's demand map, in no particular order (DESIGN.md §8.6). The
+  // rate refresh and the machine-down sweep walk these flat lists; the
+  // tie fallback and tracker_available still walk the maps, whose
+  // iteration order the recorded schedules depend on.
+  std::vector<std::vector<TaskState*>> residents_;
   // Rate-refresh state (DESIGN.md §8.6). Every machine bumps share_epoch_
   // when one of its share ratios or its thrashing flag changes value;
   // refreshed_epoch_ is its value at the last refresh walk, so a walk that
@@ -386,21 +403,19 @@ class Simulator {
   std::vector<double> locality_row_;  // set_locality_row() scratch
   // Group-estimate memo (est_demand / est_duration / est_task_work per
   // stage), valid while the stage's runnable set (it picks the
-  // representative task), finished count and the profiling epoch (both
-  // feed est_factors) are unchanged; estimates are placement-independent,
-  // so churn does not enter. Serves runnable_groups(), imminent_groups()
-  // and the per-job remaining-work sums of active_jobs().
+  // representative task) and its estimation factors are unchanged;
+  // estimates are placement-independent, so churn does not enter. Serves
+  // runnable_groups(), imminent_groups() and the per-job remaining-work
+  // sums of active_jobs().
   struct EstimateEntry {
     std::uint64_t runnable_version = 0;
-    std::uint64_t profile_version = 0;
-    int finished = -1;
+    EstFactors factors;
     Resources est_demand;
     double est_duration = 0;
     double est_task_work = 0;
   };
   mutable std::unordered_map<long, EstimateEntry> est_memo_;
   std::uint64_t churn_version_ = 0;
-  std::uint64_t profile_version_ = 0;
   int runnable_total_ = 0;  // cluster-wide runnable tasks (pass backlog)
   mutable util::PerfCounters perf_;
 
@@ -631,12 +646,12 @@ void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
   const bool naive = sim_.config_.naive_scheduler_view;
   const long key = (static_cast<long>(job.id) << 20) |
                    static_cast<long>(stage_index);
+  const EstFactors f = sim_.est_factors(job, stage_index);
   if (!naive) {
     const auto it = sim_.est_memo_.find(key);
     if (it != sim_.est_memo_.end() &&
         it->second.runnable_version == stage.runnable_version &&
-        it->second.finished == stage.finished &&
-        it->second.profile_version == sim_.profile_version_) {
+        it->second.factors == f) {
       view.est_demand = it->second.est_demand;
       view.est_duration = it->second.est_duration;
       view.est_task_work = it->second.est_task_work;
@@ -655,7 +670,6 @@ void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
   }
   if (rep == nullptr) rep = &stage.tasks.front();
   const PlacementDemand pd = compute_local_placement(rep->spec);
-  const EstFactors f = sim_.est_factors(job, stage_index);
   view.est_demand = pd.local;
   for (std::size_t i = 0; i < kNumResources; ++i)
     view.est_demand.at(i) *= f.demand.at(i);
@@ -667,8 +681,7 @@ void Simulator::ContextImpl::fill_group_estimates(const JobState& job,
       view.est_demand.normalized_by(sim_.avg_capacity_).sum() *
       view.est_duration;
   if (!naive) {
-    sim_.est_memo_[key] = {stage.runnable_version, sim_.profile_version_,
-                           stage.finished, view.est_demand,
+    sim_.est_memo_[key] = {stage.runnable_version, f, view.est_demand,
                            view.est_duration, view.est_task_work};
     sim_.perf_.estimate_cache_misses++;
   }
@@ -738,6 +751,10 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   }
   StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
 
+  // Pure in (job, stage) and read-only here, so column shards may call it
+  // concurrently.
+  const EstFactors f = sim_.est_factors(job, group.stage);
+
   // Best-locality candidate among runnable tasks (bounded scan).
   int best = -1;
   double best_frac = -1;
@@ -767,11 +784,12 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   } else {
     // Fast path: the stage's locality window picks the candidate (values
     // bit-identical to the scan above), then the cross-pass memo replays
-    // the probe if that task was last probed here under the same epochs.
-    // The probe is a pure function of (task, machine, churn epoch —
-    // replica masks and uplink capacities —, estimation inputs), never of
-    // current availability or of the rest of the runnable set, so most
-    // probes replay verbatim even across placements in the same stage.
+    // the probe if that task was last probed here under the same churn
+    // epoch and estimation factors. The probe is a pure function of (task,
+    // machine, churn epoch — replica masks and uplink capacities —,
+    // estimation factors), never of current availability or of the rest
+    // of the runnable set, so most probes replay verbatim even across
+    // placements in the same stage.
     std::lock_guard<std::mutex> lock(sim_.probe_mu_);
     sim_.pick_local_candidate(stage, machine, &best, &best_frac);
     if (best < 0) {
@@ -781,8 +799,7 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
     const StageState::ProbeMemo& e =
         stage.probe_memo[static_cast<std::size_t>(machine)];
     if (e.task_index == best && e.churn_version == sim_.churn_version_ &&
-        e.profile_version == sim_.profile_version_ &&
-        e.finished == stage.finished) {
+        e.factors == f) {
       sim_.perf_.probe_cache_hits++;
       // Same stamp, same bytes: the caller already holds this probe.
       if (p.stamp == e.probe.stamp) {
@@ -803,7 +820,6 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
                          static_cast<unsigned long long>(task.uid),
                          sim_.up_mask(), &pd);
   sim_.add_rack_legs(machine, pd);
-  const EstFactors f = sim_.est_factors(job, group.stage);
 
   p.valid = true;
   p.task_index = best;
@@ -840,8 +856,7 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
       stage.probe_memo[static_cast<std::size_t>(machine)];
   e.task_index = best;
   e.churn_version = sim_.churn_version_;
-  e.profile_version = sim_.profile_version_;
-  e.finished = stage.finished;
+  e.factors = f;
   p.stamp = sim_.take_probe_stamp();
   e.probe = p;
   sim_.perf_.probe_cache_misses++;
@@ -1119,6 +1134,7 @@ void Simulator::init_cluster() {
   alloc_est_.assign(machines_.size(), Resources{});
   hosted_count_.assign(machines_.size(), 0);
   dirty_flags_.assign(machines_.size(), 0);
+  residents_.assign(machines_.size(), {});
   avail_cache_.assign(machines_.size(), Resources{});
   avail_dirty_.assign(machines_.size(), 1);  // first pass computes all
   ramping_.assign(machines_.size(), 0);
@@ -1231,7 +1247,12 @@ JobState& Simulator::append_job(const JobSpec& spec) {
   }
 
   jobs_.push_back(std::move(job));
-  return jobs_.back();
+  JobState& placed = jobs_.back();
+  auto loc = locs_.begin() + (placed.uid_base - locs_base_);
+  for (auto& stage : placed.stages) {
+    for (auto& task : stage.tasks) (loc++)->task = &task;
+  }
+  return placed;
 }
 
 void Simulator::validate_job_spec(const JobSpec& spec) const {
@@ -1256,8 +1277,14 @@ void Simulator::validate_job_spec(const JobSpec& spec) const {
 
 void Simulator::pump_admissions() {
   if (!streaming()) return;
-  JobPeek peek;
-  while (source_->peek(peek)) {
+  // Job ids count admissions, so the next id is the number of jobs taken;
+  // once it reaches total_jobs_ the source has nothing left to yield.
+  while (jobs_base_ + static_cast<long>(jobs_.size()) < total_jobs_) {
+    if (!head_cached_) {
+      head_cached_ = source_->peek(head_);
+      if (!head_cached_) break;
+    }
+    const JobPeek& peek = head_;
     // "Due": the arrival precedes (or ties) the next event to be
     // processed, so it must enter the queue now to keep event order
     // exact. "Prefetch": merely within the look-ahead horizon.
@@ -1287,6 +1314,7 @@ void Simulator::pump_admissions() {
       break;
     }
     next_deferred_ = false;
+    head_cached_ = false;
     JobSpec spec;
     source_->next(spec);
     admit_job(std::move(spec));
@@ -1954,16 +1982,14 @@ void Simulator::start_task(const Probe& probe) {
   task.est_local = probe.demand;
   task.est_remote = probe.remote;
 
-  machines_[static_cast<std::size_t>(probe.machine)].add_demand(task.uid,
-                                                                pd.local);
+  add_demand(probe.machine, task, pd.local);
   mark_dirty(probe.machine);
   alloc_est_[static_cast<std::size_t>(probe.machine)] += task.est_local;
   hosted_count_[static_cast<std::size_t>(probe.machine)]++;
   if (!job.hosted_per_machine.empty())
     job.hosted_per_machine[static_cast<std::size_t>(probe.machine)]++;
   for (const auto& leg : pd.remote) {
-    const Resources r = leg_resources(leg);
-    machines_[static_cast<std::size_t>(leg.machine)].add_demand(task.uid, r);
+    add_demand(leg.machine, task, leg_resources(leg));
     mark_dirty(leg.machine);
   }
   for (const auto& leg : task.est_remote) {
@@ -2010,7 +2036,7 @@ void Simulator::complete_task(int uid, bool failed,
   const TaskLoc loc = loc_at(uid);
   JobState& job = job_at(loc.job);
   StageState& stage = job.stages[static_cast<std::size_t>(loc.stage)];
-  TaskState& task = stage.tasks[static_cast<std::size_t>(loc.index)];
+  TaskState& task = *loc.task;
 
   if (tracer_) {
     trace::Event ev;
@@ -2026,7 +2052,7 @@ void Simulator::complete_task(int uid, bool failed,
     tracer_->record(ev);
   }
 
-  machines_[static_cast<std::size_t>(task.host)].remove_demand(uid);
+  remove_demand(task.host, task);
   mark_dirty(task.host);
   alloc_est_[static_cast<std::size_t>(task.host)] =
       (alloc_est_[static_cast<std::size_t>(task.host)] - task.est_local)
@@ -2035,7 +2061,7 @@ void Simulator::complete_task(int uid, bool failed,
   if (!job.hosted_per_machine.empty())
     job.hosted_per_machine[static_cast<std::size_t>(task.host)]--;
   for (const auto& leg : task.placement.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].remove_demand(uid);
+    remove_demand(leg.machine, task);
     mark_dirty(leg.machine);
   }
   for (const auto& leg : task.est_remote) {
@@ -2117,16 +2143,28 @@ void Simulator::complete_task(int uid, bool failed,
   if (job.complete()) {
     job.finish = now_;
     completed_jobs_++;
-    if (job.template_id >= 0 &&
-        profiled_templates_.insert(job.template_id).second) {
-      profile_version_++;  // kLearnedProfile estimates may snap to truth
-    }
+    // kLearnedProfile estimates of the template snap to truth.
+    if (job.template_id >= 0) profiled_templates_.insert(job.template_id);
     // Streaming: fold the finished job into its record and free its
     // state. Only the success path can complete a job, so retirement
     // never happens mid-pass (preemption requeues, it never finishes).
     if (streaming()) retire_job(job);
   }
   refresh_dirty();
+}
+
+void Simulator::add_demand(MachineId m, TaskState& t,
+                           const Resources& demand) {
+  machines_[static_cast<std::size_t>(m)].add_demand(t.uid, demand);
+  residents_[static_cast<std::size_t>(m)].push_back(&t);
+}
+
+void Simulator::remove_demand(MachineId m, TaskState& t) {
+  machines_[static_cast<std::size_t>(m)].remove_demand(t.uid);
+  // Swap-with-last: the lists are unordered.
+  auto& list = residents_[static_cast<std::size_t>(m)];
+  *std::find(list.begin(), list.end(), &t) = list.back();
+  list.pop_back();
 }
 
 void Simulator::mark_dirty(MachineId m) {
@@ -2176,10 +2214,12 @@ void Simulator::refresh_dirty() {
   perf_.rate_refreshes++;
   if (shares_moved) perf_.share_change_refreshes++;
   refresh_events_.clear();
+  // The walk is order-free: each task is visited once (stamp), its update
+  // touches only itself, and push_refresh_events() only keeps walk order
+  // when it cannot matter.
   for (MachineId m : dirty_list_) {
-    for (const auto& [uid, demand] :
-         machines_[static_cast<std::size_t>(m)].demands()) {
-      TaskState& t = task_at(uid);
+    for (TaskState* tp : residents_[static_cast<std::size_t>(m)]) {
+      TaskState& t = *tp;
       if (t.refresh_stamp == stamp) continue;  // reached via another machine
       t.refresh_stamp = stamp;
       if (t.status != TaskStatus::kRunning) continue;
@@ -2202,7 +2242,7 @@ void Simulator::refresh_dirty() {
           std::max(0.0, target - t.progress + kProgressEps) *
           t.placement.duration / t.speed;
       refresh_events_.push_back(
-          {now_ + remaining, 0, Event::Type::kFinish, uid, t.generation});
+          {now_ + remaining, 0, Event::Type::kFinish, t.uid, t.generation});
     }
   }
   push_refresh_events();  // re-walks dirty_list_ on a tie: clear after
@@ -2411,18 +2451,16 @@ void Simulator::on_machine_down(MachineId m) {
   machines_[static_cast<std::size_t>(m)].set_up(false);
   machines_[static_cast<std::size_t>(m)].set_external_usage(Resources{});
 
-  // Every running attempt touching the machine is affected (sorted for a
-  // deterministic order — the demands map iteration order is not part of
-  // the simulation contract). Tasks hosted on it lose their attempt and
-  // re-queue. Tasks merely streaming input from it fail the read over to
-  // a surviving replica (HDFS-style) and keep their progress; only when
-  // no replica of some input survives is the reader killed too.
+  // Every running attempt touching the machine is affected (sorted by uid
+  // for a deterministic order; the resident list has none). Tasks hosted
+  // on it lose their attempt and re-queue. Tasks merely streaming input
+  // from it fail the read over to a surviving replica (HDFS-style) and
+  // keep their progress; only when no replica of some input survives is
+  // the reader killed too.
+  const auto& residents = residents_[static_cast<std::size_t>(m)];
   std::vector<int> victims;
-  victims.reserve(machines_[static_cast<std::size_t>(m)].demands().size());
-  for (const auto& [uid, demand] :
-       machines_[static_cast<std::size_t>(m)].demands()) {
-    victims.push_back(uid);
-  }
+  victims.reserve(residents.size());
+  for (const TaskState* t : residents) victims.push_back(t->uid);
   std::sort(victims.begin(), victims.end());
   for (int uid : victims) {
     TaskState& t = task_at(uid);
@@ -2444,17 +2482,16 @@ void Simulator::on_machine_down(MachineId m) {
 void Simulator::failover_reads(int uid) {
   const TaskLoc& loc = loc_at(uid);
   JobState& job = job_at(loc.job);
-  TaskState& t = job.stages[static_cast<std::size_t>(loc.stage)]
-                     .tasks[static_cast<std::size_t>(loc.index)];
+  TaskState& t = *loc.task;
   // Bank progress earned under the old placement, then swap every demand
   // the attempt holds for ones resolved against the surviving replica
   // set. The scheduler's estimate books are left alone: completion
   // subtracts the same estimates that were added at start.
   update_progress(t);
-  machines_[static_cast<std::size_t>(t.host)].remove_demand(uid);
+  remove_demand(t.host, t);
   mark_dirty(t.host);
   for (const auto& leg : t.placement.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].remove_demand(uid);
+    remove_demand(leg.machine, t);
     mark_dirty(leg.machine);
   }
   job.current_alloc = (job.current_alloc - t.placement.local).max_zero();
@@ -2464,10 +2501,9 @@ void Simulator::failover_reads(int uid) {
   add_rack_legs(t.host, pd);
   t.placement = pd;
   job.current_alloc += pd.local;
-  machines_[static_cast<std::size_t>(t.host)].add_demand(uid, pd.local);
+  add_demand(t.host, t, pd.local);
   for (const auto& leg : pd.remote) {
-    machines_[static_cast<std::size_t>(leg.machine)].add_demand(
-        uid, leg_resources(leg));
+    add_demand(leg.machine, t, leg_resources(leg));
     mark_dirty(leg.machine);
   }
   // Both the natural duration and the share ratios may have changed;

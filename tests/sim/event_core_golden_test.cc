@@ -10,7 +10,8 @@
 // equal-time finish ties (stream jobs give a stage's tasks one duration),
 // over-allocation and interference under DRF and the slot scheduler, read
 // failover under churn (the speed < 0 sentinel), an ingestion activity,
-// injected task failures and memory thrashing.
+// injected task failures, memory thrashing, and fairness preemption on a
+// racked cluster whose uplinks hold many tasks at once.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -262,6 +263,34 @@ TEST(EventCoreGolden, MemoryThrashing) {
   EXPECT_GT(r.perf.share_change_refreshes, 0);
   expect_golden(r, {0xf1362dd6362c2565ULL, 0x592bbbe2627eb4edULL,
                     0x1.bc00000179f5p+6});
+}
+
+TEST(EventCoreGolden, PreemptionAndRackUplinks) {
+  // Two racks of five: every cross-rack read also holds a leg on each
+  // rack's uplink, so the uplinks carry the most tasks of any machine.
+  // Fairness preemption kills running attempts mid-pass, and scripted
+  // failures kill hosted attempts, fail remote reads over and shrink the
+  // uplinks under their running flows.
+  workload::FacebookConfig wcfg;
+  wcfg.num_jobs = 12;
+  wcfg.num_machines = 10;
+  wcfg.arrival_window = 100;
+  wcfg.seed = 3;
+  const sim::Workload w = workload::make_facebook_workload(wcfg);
+  sim::SimConfig cfg = cluster(10);
+  cfg.machines_per_rack = 5;
+  cfg.churn.scripted = {{3, 30.0, 90.0}, {8, 60.0, 150.0}};
+  core::TetrisConfig tcfg;
+  tcfg.preempt_for_fairness = true;
+  tcfg.preemption_deficit = 0.1;
+  core::TetrisScheduler sched(tcfg);
+  const sim::SimResult r = sim::simulate(cfg, w, sched);
+  EXPECT_GT(sched.stats().preemptions, 0);
+  EXPECT_GT(r.churn.task_attempts_lost, 0);
+  EXPECT_GT(r.churn.read_failovers, 0);
+  EXPECT_GT(r.perf.share_change_refreshes, 0);
+  expect_golden(r, {0x92c530b1813d2fddULL, 0x0aa225f4437d0569ULL,
+                    0x1.4b7747959114ap+8});
 }
 
 }  // namespace
