@@ -5,8 +5,9 @@
 // churn subsystem injects them. Sweep the failure rate (per-machine MTTF,
 // exponential, with a fixed MTTR) across schedulers and measure whether
 // Tetris's packing advantage persists when the cluster keeps losing and
-// regaining machines (EXPERIMENTS.md E23 has the measured answer: at
-// MTTF <= 2000 s it does not).
+// regaining machines (EXPERIMENTS.md E23 has the measured answer for the
+// default seed 1: at MTTF <= 2000 s it does not — a single-seed result;
+// other seeds disagree, see E23).
 #include <iostream>
 #include <string>
 

@@ -18,6 +18,7 @@
 
 #include "analysis/export.h"
 #include "analysis/metrics.h"
+#include "core/naive_tetris_scheduler.h"
 #include "core/tetris_scheduler.h"
 #include "sched/drf_scheduler.h"
 #include "sched/slot_scheduler.h"
@@ -133,11 +134,13 @@ inline sim::SimResult run_baseline(sim::SimConfig cfg, const sim::Workload& w,
   return sim::simulate(cfg, w, s);
 }
 
+// `Tetris` picks the scan: the optimized TetrisScheduler or the
+// NaiveTetrisScheduler oracle, which place identically.
+template <typename Tetris = core::TetrisScheduler>
 inline sim::SimResult run_tetris(sim::SimConfig cfg, const sim::Workload& w,
                                  core::TetrisConfig tcfg = {}) {
   cfg.tracker = sim::TrackerMode::kUsage;
-  if (tcfg.num_threads == 0) tcfg.num_threads = cfg.num_threads;
-  core::TetrisScheduler tetris(std::move(tcfg));
+  Tetris tetris(std::move(tcfg));
   return sim::simulate(cfg, w, tetris);
 }
 
@@ -175,13 +178,11 @@ inline std::string cdf_csv(const std::vector<double>& xs) {
 }
 
 // The self-describing row tag for the bench_results CSVs: which scheduler
-// variant, how many worker threads (resolved the same way run_tetris
-// resolves the knob) and whether event tracing was on for the run.
+// variant, and whether event tracing was on for the run.
 inline analysis::RunTag run_tag(const std::string& scheduler,
-                                const sim::SimConfig& cfg, int threads = 0) {
+                                const sim::SimConfig& cfg) {
   analysis::RunTag tag;
   tag.scheduler = scheduler;
-  tag.threads = threads > 0 ? threads : cfg.num_threads;
   tag.trace = cfg.trace.enabled;
   return tag;
 }

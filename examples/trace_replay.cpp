@@ -13,8 +13,8 @@
 #include <string>
 
 #include "core/tetris_scheduler.h"
+#include "sched/constrained_random_scheduler.h"
 #include "sched/drf_scheduler.h"
-#include "sched/random_scheduler.h"
 #include "sched/slot_scheduler.h"
 #include "sched/srtf_scheduler.h"
 #include "sim/simulator.h"
@@ -60,7 +60,7 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
   if (name == "slot") return std::make_unique<sched::SlotScheduler>();
   if (name == "drf") return std::make_unique<sched::DrfScheduler>();
   if (name == "srtf") return std::make_unique<sched::SrtfScheduler>();
-  if (name == "random") return std::make_unique<sched::RandomScheduler>();
+  if (name == "random") return std::make_unique<sched::ConstrainedRandomScheduler>();
   return nullptr;
 }
 

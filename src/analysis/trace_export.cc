@@ -120,15 +120,6 @@ std::string chrome_trace_json(const trace::TraceLog& log) {
            << num(static_cast<double>(ev.timing) * 1e-6) << "}}";
         w.event(os.str());
         break;
-      case trace::EventKind::kShardTiming:
-        os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedulerPid
-           << ",\"tid\":" << (1 + ev.a) << ",\"ts\":" << micros(ev.time)
-           << ",\"name\":\"shard " << ev.a << "\",\"args\":{\"machines\":\"["
-           << ev.b << "," << ev.c << ")\",\"score_evals\":" << ev.d
-           << ",\"scan_ms\":" << num(static_cast<double>(ev.timing) * 1e-6)
-           << "}}";
-        w.event(os.str());
-        break;
       case trace::EventKind::kGroupScan:
         os << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << kSchedulerPid
            << ",\"tid\":0,\"ts\":" << micros(ev.time)

@@ -21,128 +21,25 @@
 //   * Barrier hint (§3.5): once a stage preceding a barrier is >= b
 //     complete, its stragglers get strict priority (they gate the next
 //     stage of the DAG while consuming few resources).
+//
+// This is the optimized pass (DESIGN.md §8, §12): one serial scan per
+// candidate round, tier by tier, that refreshes stale cells, scores them
+// in vector blocks and picks the best survivor, with shortcuts that skip
+// work the naive oracle (naive_tetris_scheduler.h) does in full. Both
+// share the policy rules of tetris_policy.h and place bit-identically.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "core/alignment.h"
-#include "sched/fairness.h"
+#include "core/tetris_config.h"
+#include "core/tetris_policy.h"
 #include "sim/scheduler.h"
 #include "util/perf_counters.h"
-#include "util/thread_pool.h"
-#include "util/units.h"
 
 namespace tetris::core {
-
-// Scoring-kernel selection (DESIGN.md §12). kOn routes the fused
-// fit-check + alignment evaluations through the structure-of-arrays
-// batch kernel (AVX2/SSE4.2 when the build carries them, portable scalar
-// otherwise); kOff keeps the per-cell scalar loop. Both produce
-// bit-identical schedules — the kernel reproduces the scalar op sequence
-// per lane — so this knob trades nothing but speed. The naive_scoring
-// oracle always scores scalar, whatever this says.
-enum class SimdMode {
-  kOff = 0,
-  kOn = 1,
-};
-
-// "off" / "on"; throws std::invalid_argument on anything else.
-SimdMode simd_mode_from_string(std::string_view s);
-std::string_view simd_mode_name(SimdMode mode);
-
-struct TetrisConfig {
-  AlignmentKind alignment = AlignmentKind::kCosine;
-
-  // Score multiplier (1 - remote_penalty * remote_fraction); 0.1 in the
-  // paper, flat between ~0.05 and ~0.4 per §5.3.3.
-  double remote_penalty = 0.10;
-
-  // The m knob of §5.3.3: eps = srtf_weight * mean|a| / mean p. 0 disables
-  // the SRTF term (pure packing, the epsilon=0 ablation).
-  double srtf_weight = 1.0;
-
-  // Fairness knob f in [0, 1). 0 = most efficient, -> 1 = most fair.
-  double fairness_knob = 0.25;
-  sched::FairnessPolicy fairness_policy = sched::FairnessPolicy::kDrf;
-  double slot_mem = 2 * kGB;  // for the kSlots fairness policy
-  // Apply the knob at queue granularity (paper §3.4: "jobs (or groups of
-  // jobs)"): the first ceil((1-f)·Q) queues furthest below their share are
-  // eligible, and any job inside them may be served.
-  bool fairness_over_queues = false;
-
-  // Barrier knob b in [0, 1]; stages preceding a barrier whose finished
-  // fraction reaches b get priority. 1 disables the hint.
-  double barrier_knob = 0.9;
-
-  // Fairness preemption (extension; paper §3.1 excludes preemption "for
-  // simplicity" — YARN's Capacity scheduler enforces queue fairness by
-  // killing over-share containers). When enabled, if the furthest-below
-  // schedulable job's dominant share trails fair share by more than
-  // preemption_deficit AND none of its tasks fit anywhere, Tetris kills
-  // the most-recently-started task (least work lost) of the most
-  // over-share job — at most one kill per pass, so enforcement stays
-  // gentle and cannot thrash.
-  bool preempt_for_fairness = false;
-  double preemption_deficit = 0.25;
-
-  // Starvation reservation (extension; paper §3.5 notes the risk that
-  // large tasks never see enough free resources at once and leaves a
-  // principled reservation to future work). A task runnable for longer
-  // than this threshold marks its group *starved*: starved groups outrank
-  // everything else, and while one cannot be placed anywhere, the
-  // emptiest machine is reserved — no non-starved task may take it — so
-  // resources accumulate there until the starved task fits. Infinity
-  // disables the mechanism (the paper's deployed behaviour, which relies
-  // on heartbeat batching).
-  double starvation_threshold = std::numeric_limits<double>::infinity();
-
-  // Future-demand lookahead in seconds (extension; paper §3.5 "Future
-  // Demands" notes that job managers know their DAGs and task finish
-  // times can be predicted, and leaves exploiting that to future work).
-  // When > 0: a machine's resources are withheld from a candidate if a
-  // stage predicted to unblock within the lookahead would align strictly
-  // better there — mimicking the offline schedule instead of greedily
-  // backfilling with long poorly-aligned work. 0 disables (the paper's
-  // deployed behaviour).
-  double future_lookahead = 0;
-
-  // Check disk-read/net-out availability at remote input sources (§3.2).
-  bool check_remote = true;
-
-  // Ablation switch (§5.3.1): consider only CPU and memory, like the
-  // baselines — reintroduces disk/network over-allocation.
-  bool only_cpu_mem = false;
-
-  // Oracle switch for the hot-path shortcuts (DESIGN.md §8): when true,
-  // every stale candidate cell is fully recomputed — no sticky
-  // rejections, no probe reuse, no free-capacity index. Produces
-  // bit-identical schedules to the optimized default (the equivalence
-  // property test enforces it); exists so the oracle stays runnable.
-  bool naive_scoring = false;
-
-  // Worker threads for the scheduling pass (DESIGN.md §9). 0 runs the
-  // serial scan exactly as before; N >= 1 partitions each round's
-  // <group, machine> matrix into min(N, machines) contiguous column
-  // shards scanned by a reusable pool, with a deterministic reduction at
-  // the barrier — schedules are bit-identical to the serial path (and to
-  // the naive oracle) for every thread count, which the threaded
-  // equivalence and determinism tests enforce.
-  int num_threads = 0;
-
-  // Vectorized scoring kernel (DESIGN.md §12); see SimdMode above.
-  // Composes with num_threads: each column shard drains its own batches,
-  // and the §9 ordered replay keeps the eps-normalizer accumulation in
-  // the serial order either way.
-  SimdMode simd = SimdMode::kOn;
-
-  std::string name = "tetris";
-};
 
 class TetrisScheduler final : public sim::Scheduler {
  public:
@@ -170,30 +67,16 @@ class TetrisScheduler final : public sim::Scheduler {
   const util::PerfCounters& perf() const { return perf_; }
 
  private:
-  static long long group_key(const sim::GroupRef& ref) {
-    return (static_cast<long long>(ref.job) << 20) | ref.stage;
-  }
-
   TetrisConfig config_;
   Stats stats_;
   util::PerfCounters perf_;
-  // Lazily created on the first pass when num_threads >= 1, then reused
-  // for every subsequent pass; workers idle between passes.
-  std::unique_ptr<util::ThreadPool> pool_;
   // The scan's working lists (defined in the .cc), kept across passes.
   struct PassScratch;
   std::unique_ptr<PassScratch> scratch_;
-  // Running average of |alignment| across the scheduler's lifetime; the
-  // a_bar of eps = a_bar / p_bar. Frozen at the start of every candidate
-  // round so simultaneous candidates are compared under one eps.
-  double alignment_sum_ = 0;
-  long alignment_count_ = 0;
-  // When each group last received a placement. A group is starved only if
-  // its tasks have waited long AND it has not been served recently — a
-  // backlogged group that places tasks every pass is queued, not starved.
-  std::unordered_map<long long, double> last_placement_;
-  // Highest retirement watermark already pruned from last_placement_.
-  sim::JobId pruned_before_ = 0;
+  // The a_bar of eps = a_bar / p_bar, over the scheduler's lifetime.
+  policy::AlignmentMean alignment_;
+  // When each group was last served (starvation tier).
+  policy::ServiceLog service_;
   // Persistent <group, machine> cell matrix in structure-of-arrays form
   // (DESIGN.md §12.5): the heavy payload (probe) lives in slots that
   // survive across passes — so every probe keeps its remote-leg buffer

@@ -23,7 +23,7 @@ void ConstrainedRandomScheduler::schedule(sim::SchedulerContext& ctx) {
   std::vector<char> blocked(groups.size(), 0);
   std::size_t unblocked = groups.size();
   while (unblocked > 0) {
-    // Pick a random unblocked group, like the unconstrained baseline.
+    // Pick a random unblocked group.
     std::size_t pick = static_cast<std::size_t>(
         rng_.uniform_int(0, static_cast<std::int64_t>(groups.size()) - 1));
     while (blocked[pick]) pick = (pick + 1) % groups.size();

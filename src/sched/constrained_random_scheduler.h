@@ -8,10 +8,11 @@
 // quality comes purely from feasibility plus chance, which is exactly
 // the floor bench_constraints measures Tetris against.
 //
-// Differs from RandomScheduler in one essential way: sampling is uniform
-// over the *feasible* set rather than over all machines, so heavily
-// constrained groups are not starved by wasted draws on machines that
-// could never host them.
+// Sampling is uniform over the *feasible* set rather than over all
+// machines, so heavily constrained groups are not starved by wasted draws
+// on machines that could never host them. Without constraints the
+// feasible set is every up machine, which makes this also the
+// unconstrained random baseline.
 #pragma once
 
 #include <cstdint>

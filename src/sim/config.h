@@ -203,11 +203,6 @@ struct SimConfig {
   // equivalence property test pins the cached path to it bit for bit.
   bool naive_scheduler_view = false;
 
-  // Worker threads for the Tetris scheduling pass (DESIGN.md §9),
-  // forwarded into TetrisConfig::num_threads by the bench harness when
-  // the scheduler config leaves its own knob at 0. 0 = serial scan.
-  int num_threads = 0;
-
   // Structured event tracing (DESIGN.md §10): when trace.enabled, the
   // simulator records every arrival, pass, placement, task transition,
   // churn edge and tracker report into SimResult::trace_log. Off by

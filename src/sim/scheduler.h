@@ -166,8 +166,8 @@ class SchedulerContext {
   // Placement-constraint admission filter (DESIGN.md §13), the companion
   // of machine_up: false when machine `m` cannot legally host a task of
   // `group` — label require/forbid clauses, within-job anti-affinity, or
-  // same-rack-as-input. Every scan path (naive oracle, optimized scalar,
-  // SIMD waves, baselines) must consult it *before* probing, exactly
+  // same-rack-as-input. Every scan path (naive oracle, optimized Tetris
+  // scan, baselines) must consult it *before* probing, exactly
   // where it checks machine_up: an inadmissible machine is a plain
   // rejection of the pair, never a drained group. Within one pass the
   // predicate can only flip admissible→inadmissible (placements add
@@ -236,7 +236,7 @@ class SchedulerContext {
   virtual util::PerfCounters* perf_counters() { return nullptr; }
 
   // Event-trace sink (DESIGN.md §10): schedulers record placement
-  // decisions and shard timings here. Null when tracing is disabled.
+  // decisions here. Null when tracing is disabled.
   // Write-only for schedulers, like perf_counters().
   virtual trace::Recorder* tracer() { return nullptr; }
 };

@@ -9,7 +9,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -373,14 +372,8 @@ class Simulator {
   std::vector<Resources> avail_cache_;
   std::vector<char> avail_dirty_;
   std::vector<char> ramping_;
-  // Guards the per-stage probe memos, the lazy churn-viability refresh
-  // of the locality windows and the probe_cache_* counters — the only
-  // shared state a probe() mutates — so the scheduler's column shards may
-  // probe concurrently (DESIGN.md §9). The probe computation itself runs
-  // outside it.
-  mutable std::mutex probe_mu_;
   // Next probe-memo stamp to hand out (see kStampBlock); 0 before the
-  // first block is drawn. Caller holds probe_mu_.
+  // first block is drawn.
   std::uint64_t next_stamp_ = 0;
   std::uint64_t take_probe_stamp() {
     if ((next_stamp_ & (kStampBlock - 1)) == 0) {
@@ -393,7 +386,7 @@ class Simulator {
   // Best-locality candidate for `machine` from the stage's locality
   // window (first strict improvement wins, early out once fully local);
   // refreshes the window's viability flags first if the churn epoch
-  // moved. Caller holds probe_mu_.
+  // moved.
   void pick_local_candidate(StageState& stage, MachineId machine, int* best,
                             double* best_frac) const;
   // Writes window row `slot` for `task`: its local fraction on every real
@@ -401,6 +394,7 @@ class Simulator {
   void set_locality_row(StageState& stage, std::size_t slot,
                         const TaskState& task);
   std::vector<double> locality_row_;  // set_locality_row() scratch
+  PlacementDemand probe_demand_;      // probe miss scratch (no allocation)
   // Group-estimate memo (est_demand / est_duration / est_task_work per
   // stage), valid while the stage's runnable set (it picks the
   // representative task) and its estimation factors are unchanged;
@@ -449,9 +443,8 @@ class Simulator {
   std::vector<TaskReport> reports_;
 
   // Event tracing (DESIGN.md §10); null unless SimConfig::trace.enabled.
-  // All simulator-side records happen on the event-loop thread, so the
-  // stream order is deterministic; worker threads only contribute the
-  // shard-timing records the scheduler emits serially at its barrier.
+  // Every record happens on the thread running the simulation, so the
+  // stream order is deterministic.
   std::unique_ptr<trace::Recorder> tracer_;
   long pass_index_ = 0;
 
@@ -751,8 +744,6 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   }
   StageState& stage = job.stages[static_cast<std::size_t>(group.stage)];
 
-  // Pure in (job, stage) and read-only here, so column shards may call it
-  // concurrently.
   const EstFactors f = sim_.est_factors(job, group.stage);
 
   // Best-locality candidate among runnable tasks (bounded scan).
@@ -790,7 +781,6 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
     // estimation factors), never of current availability or of the rest
     // of the runnable set, so most probes replay verbatim even across
     // placements in the same stage.
-    std::lock_guard<std::mutex> lock(sim_.probe_mu_);
     sim_.pick_local_candidate(stage, machine, &best, &best_frac);
     if (best < 0) {
       reset();
@@ -813,9 +803,7 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   if (!naive) reset();
 
   const TaskState& task = stage.tasks[static_cast<std::size_t>(best)];
-  // Per thread (column shards probe concurrently), so a miss computes
-  // without allocating.
-  thread_local PlacementDemand pd;
+  PlacementDemand& pd = sim_.probe_demand_;
   compute_placement_into(task.spec, machine,
                          static_cast<unsigned long long>(task.uid),
                          sim_.up_mask(), &pd);
@@ -850,7 +838,6 @@ void Simulator::ContextImpl::probe_into(const GroupRef& group,
   p.task_work =
       p.demand.normalized_by(sim_.avg_capacity_).sum() * p.duration;
   if (naive) return;
-  std::lock_guard<std::mutex> lock(sim_.probe_mu_);
   // Field-wise, so the slot's remote vector keeps its capacity.
   StageState::ProbeMemo& e =
       stage.probe_memo[static_cast<std::size_t>(machine)];
@@ -1491,7 +1478,6 @@ void Simulator::prepare(Scheduler& scheduler) {
     ev.a = static_cast<std::int64_t>(config_.seed);
     ev.b = num_real_machines_;
     ev.c = static_cast<std::int64_t>(total_jobs_);
-    ev.d = config_.num_threads;
     ev.e = config_.naive_scheduler_view ? 1 : 0;
     tracer_->record(ev);
   }

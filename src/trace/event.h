@@ -13,15 +13,14 @@ namespace tetris::trace {
 // are elided on the wire (see wire.h). Keeping the record POD-flat lets the
 // recorder encode without allocation and keeps replay comparison trivial.
 enum class EventKind : std::uint8_t {
-  // a=seed, b=num_machines, c=num_jobs, d=num_threads, e=naive(0/1)
+  // a=seed, b=num_machines, c=num_jobs, d=reserved (0), e=naive view (0/1)
   kRunBegin = 0,
   // a=job id
   kJobArrival = 1,
   // a=pass index, b=backlog (runnable tasks at pass start)
   kPassBegin = 2,
-  // a=shard index, b=first machine, c=last machine (exclusive),
-  // d=score evaluations; timing=worker wall-clock nanos (non-semantic)
-  kShardTiming = 3,
+  // 3 is retired (per-shard scan timings of a removed parallel pass):
+  // never written, rejected on read, so every other kind keeps its value.
   // Baseline schedulers' machine scan (sched/common.cc):
   // a=job, b=stage, c=chosen machine (-1 none), d=machines scanned
   kGroupScan = 4,
@@ -50,6 +49,7 @@ enum class EventKind : std::uint8_t {
 };
 
 inline constexpr int kNumEventKinds = 14;
+inline constexpr int kRetiredEventKind = 3;
 
 // Why a task attempt was killed (kTaskKill field f).
 enum class KillReason : std::uint8_t {

@@ -6,9 +6,6 @@
 // scheduling decision, or the naive/optimized equivalence oracle breaks.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 namespace tetris::util {
 
 struct PerfCounters {
@@ -24,11 +21,9 @@ struct PerfCounters {
   long fit_index_skips = 0;  // cells skipped by the free-capacity index
   long row_skips = 0;        // cells skipped: whole row fresh-and-rejected
 
-  // SIMD scoring kernel (DESIGN.md §12). Unlike every other scan counter
-  // these two depend on how cells group into vector blocks, which follows
-  // shard boundaries — so they are stable for a fixed configuration but
-  // legitimately differ across thread counts (and are excluded from the
-  // cross-thread-count counter assertions).
+  // SIMD scoring kernel (DESIGN.md §12): how the batched cells split
+  // into full vector blocks and scalar-lane evaluations, which depends on
+  // the build's lane width.
   long simd_blocks = 0;        // full-width vector blocks evaluated
   long scalar_tail_evals = 0;  // batch lanes evaluated on the scalar tail
 
@@ -41,15 +36,6 @@ struct PerfCounters {
   long estimate_cache_misses = 0;  // group-estimate recomputes
   long avail_cache_hits = 0;       // machines whose availability was reused
   long avail_recomputes = 0;       // machines rescanned by the tracker
-
-  // Parallel-pass bookkeeping (DESIGN.md §9). reduction_nanos is wall
-  // clock inside the reduction barriers (merge + ordered replay), so it
-  // is the one counter that legitimately varies between repeated runs;
-  // everything else is deterministic for a fixed thread count.
-  long parallel_passes = 0;  // passes scanned with the sharded path
-  long reduction_nanos = 0;  // wall clock spent in reduction barriers
-  // score_evals split by column shard; empty when every pass ran serial.
-  std::vector<long> shard_score_evals;
 
   // Event-core rate refresh (DESIGN.md §8.6): walks of the dirty
   // machines, the walks that found a share ratio moved since the last
@@ -75,8 +61,8 @@ struct PerfCounters {
 
   // Federated driver bookkeeping (DESIGN.md §14.5); all zero outside
   // simulate_federated. cell_advance_nanos is wall clock inside the
-  // per-event advance fan-out (serial loop or pool barrier), so like
-  // reduction_nanos it varies between repeated runs; idle_cell_skips —
+  // per-event advance fan-out (serial loop or pool barrier), so it is the
+  // one counter that varies between repeated runs; idle_cell_skips —
   // live cells whose advance was skipped because they were quiescent up
   // to the event time with an empty admission queue — is deterministic
   // for a fixed configuration and identical at every cell_threads count.
@@ -100,8 +86,6 @@ struct PerfCounters {
     estimate_cache_misses += o.estimate_cache_misses;
     avail_cache_hits += o.avail_cache_hits;
     avail_recomputes += o.avail_recomputes;
-    parallel_passes += o.parallel_passes;
-    reduction_nanos += o.reduction_nanos;
     rate_refreshes += o.rate_refreshes;
     share_change_refreshes += o.share_change_refreshes;
     speed_recomputes += o.speed_recomputes;
@@ -117,10 +101,6 @@ struct PerfCounters {
     stream_deferrals += o.stream_deferrals;
     cell_advance_nanos += o.cell_advance_nanos;
     idle_cell_skips += o.idle_cell_skips;
-    if (shard_score_evals.size() < o.shard_score_evals.size())
-      shard_score_evals.resize(o.shard_score_evals.size(), 0);
-    for (std::size_t i = 0; i < o.shard_score_evals.size(); ++i)
-      shard_score_evals[i] += o.shard_score_evals[i];
     return *this;
   }
 };

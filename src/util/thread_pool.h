@@ -1,7 +1,7 @@
-// Fixed-size thread pool for the scheduler's sharded scans (DESIGN.md
-// §9): one blocking parallel_for at a time, no task queue, no work
-// stealing. Workers are started once and reused across scheduling passes
-// — thread creation per pass would dwarf a sub-millisecond scan.
+// Fixed-size thread pool for the federated driver's cell-parallel advance
+// (DESIGN.md §14.5): one blocking parallel_for at a time, no task queue,
+// no work stealing. Workers are started once and reused across driver
+// intervals — thread creation per interval would dwarf the work.
 #pragma once
 
 #include <atomic>

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "core/naive_tetris_scheduler.h"
 #include "sim/simulator.h"
 #include "tests/support/fake_context.h"
 #include "util/units.h"
@@ -86,9 +87,8 @@ TEST(TetrisConfig, RejectsOutOfRangeKnobs) {
   bad = TetrisConfig{};
   bad.srtf_weight = -1;
   EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
-  bad = TetrisConfig{};
-  bad.num_threads = -2;
-  EXPECT_THROW(TetrisScheduler{bad}, std::invalid_argument);
+  // The oracle validates the same knobs.
+  EXPECT_THROW(NaiveTetrisScheduler{bad}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -671,20 +671,19 @@ test::FakeContext hot_path_context() {
   return ctx;
 }
 
-TetrisConfig hot_path_config(bool naive) {
+TetrisConfig hot_path_config() {
   TetrisConfig tcfg;
   tcfg.fairness_knob = 0;  // every job eligible: isolate the cell logic
-  tcfg.naive_scoring = naive;
   return tcfg;
 }
 
 TEST(TetrisHotPath, OptimizedPlacesExactlyWhatNaivePlaces) {
   auto naive_ctx = hot_path_context();
-  TetrisScheduler naive(hot_path_config(true));
+  NaiveTetrisScheduler naive(hot_path_config());
   naive.schedule(naive_ctx);
 
   auto opt_ctx = hot_path_context();
-  TetrisScheduler opt(hot_path_config(false));
+  TetrisScheduler opt(hot_path_config());
   opt.schedule(opt_ctx);
 
   ASSERT_EQ(naive_ctx.placements.size(), opt_ctx.placements.size());
@@ -712,7 +711,7 @@ TEST(TetrisHotPath, FitIndexSkipsGroupsNoMachineCanHold) {
   test::FakeContext ctx({cap, cap});
   ctx.add_group(0, 0, 2, cpu_mem(16, 4));  // wider than any machine
   ctx.add_group(1, 0, 2, cpu_mem(2, 1));   // schedulable
-  TetrisScheduler opt(hot_path_config(false));
+  TetrisScheduler opt(hot_path_config());
   opt.schedule(ctx);
 
   // Only the schedulable group's tasks land, and the unfittable group's
@@ -724,7 +723,7 @@ TEST(TetrisHotPath, FitIndexSkipsGroupsNoMachineCanHold) {
   test::FakeContext naive_two({cap, cap});
   naive_two.add_group(0, 0, 2, cpu_mem(16, 4));
   naive_two.add_group(1, 0, 2, cpu_mem(2, 1));
-  TetrisScheduler naive(hot_path_config(true));
+  NaiveTetrisScheduler naive(hot_path_config());
   naive.schedule(naive_two);
   EXPECT_EQ(naive_two.placements.size(), 2u);
   EXPECT_EQ(naive.perf().fit_index_skips, 0);
@@ -740,7 +739,7 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
   ctx.set_machine_up(0, false);
   ctx.set_available(1, cpu_mem(1, 1));  // too tight for the group
   ctx.add_group(0, 0, 1, cpu_mem(4, 2));
-  TetrisScheduler opt(hot_path_config(false));
+  TetrisScheduler opt(hot_path_config());
   opt.schedule(ctx);
   // The down machine's (full) capacity must not inflate the index: with
   // only machine 1's availability in it, the group is skipped outright.

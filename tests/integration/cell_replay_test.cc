@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <string>
 
+#include "core/naive_tetris_scheduler.h"
 #include "core/tetris_scheduler.h"
 #include "sim/simulator.h"
 #include "workload/facebook.h"
@@ -41,11 +42,15 @@ sim::SimConfig stream_sim_config(bool naive_view) {
   return cfg;
 }
 
-sim::SimResult run_stream(bool naive_view, bool naive_scoring) {
+// The optimized scan, or the NaiveTetrisScheduler oracle when
+// `naive_scan`, on the naive or the cached simulator view.
+sim::SimResult run_stream(bool naive_view, bool naive_scan) {
   workload::SyntheticJobSource source(stream_config());
-  core::TetrisConfig tcfg;
-  tcfg.naive_scoring = naive_scoring;
-  core::TetrisScheduler sched(tcfg);
+  if (naive_scan) {
+    core::NaiveTetrisScheduler sched;
+    return sim::simulate_stream(stream_sim_config(naive_view), source, sched);
+  }
+  core::TetrisScheduler sched;
   return sim::simulate_stream(stream_sim_config(naive_view), source, sched);
 }
 
@@ -76,10 +81,10 @@ TEST(CellReplay, CountersFireOnStreamAndStayZeroWhenNaive) {
 
   // Naive scoring recomputes every refreshed cell: no replay. It scores
   // exactly the cells the optimized pass scores or replays.
-  const sim::SimResult naive_scoring = run_stream(false, true);
-  expect_same_jobs(naive_scoring, opt);
-  EXPECT_EQ(naive_scoring.perf.score_replays, 0);
-  EXPECT_EQ(naive_scoring.perf.score_evals,
+  const sim::SimResult naive_scan = run_stream(false, true);
+  expect_same_jobs(naive_scan, opt);
+  EXPECT_EQ(naive_scan.perf.score_replays, 0);
+  EXPECT_EQ(naive_scan.perf.score_evals,
             opt.perf.score_evals + opt.perf.score_replays);
 
   // The naive view memoizes nothing, so its probes carry no stamp.
@@ -97,8 +102,7 @@ TEST(CellReplay, CountersFireOnStreamAndStayZeroWhenNaive) {
 // With the barrier hint at 0.5, straggler rows (tier 1) scan in their own
 // wave ahead of tier 0, so a round's score records come from several
 // waves and mix kernel-scored and replayed cells within rows; the
-// ordered replay of the eps accumulation must still be exact, serial and
-// sharded, batch kernel on and off.
+// ordered eps accumulation must still match the naive oracle's.
 TEST(CellReplay, MixedTierRowsMatchNaiveBitForBit) {
   workload::FacebookConfig wcfg;
   wcfg.num_jobs = 40;
@@ -108,40 +112,25 @@ TEST(CellReplay, MixedTierRowsMatchNaiveBitForBit) {
   wcfg.seed = 3;
   const sim::Workload w = workload::make_facebook_workload(wcfg);
 
-  const auto run = [&](bool naive, int threads, core::SimdMode simd,
-                       long* priority_placements) {
-    sim::SimConfig cfg;
-    cfg.num_machines = 10;
-    cfg.machine_capacity = workload::facebook_machine();
-    cfg.naive_scheduler_view = naive;
-    core::TetrisConfig tcfg;
-    tcfg.barrier_knob = 0.5;
-    tcfg.naive_scoring = naive;
-    tcfg.num_threads = threads;
-    tcfg.simd = simd;
-    core::TetrisScheduler sched(tcfg);
-    sim::SimResult r = sim::simulate(cfg, w, sched);
-    if (priority_placements != nullptr)
-      *priority_placements = sched.stats().priority_placements;
-    return r;
-  };
+  sim::SimConfig cfg;
+  cfg.num_machines = 10;
+  cfg.machine_capacity = workload::facebook_machine();
+  core::TetrisConfig tcfg;
+  tcfg.barrier_knob = 0.5;
 
-  const sim::SimResult oracle = run(true, 0, core::SimdMode::kOff, nullptr);
+  core::TetrisScheduler opt(tcfg);
+  const sim::SimResult r = sim::simulate(cfg, w, opt);
+  cfg.naive_scheduler_view = true;
+  core::NaiveTetrisScheduler naive(tcfg);
+  const sim::SimResult oracle = sim::simulate(cfg, w, naive);
   ASSERT_TRUE(oracle.completed);
-  for (const int threads : {0, 2}) {
-    for (const auto simd : {core::SimdMode::kOn, core::SimdMode::kOff}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " simd " +
-                   std::string(core::simd_mode_name(simd)));
-      long priority = 0;
-      const sim::SimResult r = run(false, threads, simd, &priority);
-      expect_same_tasks(oracle, r);
-      EXPECT_GT(priority, 0);
-      EXPECT_GT(r.perf.score_replays, 0);
-      EXPECT_GT(r.perf.score_evals, 0);
-      EXPECT_EQ(r.perf.score_evals + r.perf.score_replays,
-                oracle.perf.score_evals);
-    }
-  }
+
+  expect_same_tasks(oracle, r);
+  EXPECT_GT(opt.stats().priority_placements, 0);
+  EXPECT_GT(r.perf.score_replays, 0);
+  EXPECT_GT(r.perf.score_evals, 0);
+  EXPECT_EQ(r.perf.score_evals + r.perf.score_replays,
+            oracle.perf.score_evals);
 }
 
 }  // namespace

@@ -1,19 +1,14 @@
 // The hot-path equivalence property (DESIGN.md §8): the optimized
 // scheduling path — simulator-side view caches (availability, probe and
-// group-estimate memos, wait FIFOs) plus scheduler-side shortcuts (sticky
-// rejection, probe reuse, free-capacity index) — must produce schedules
-// BIT-IDENTICAL to the naive recompute-everything oracle. Not "close":
-// every timestamp, host and attempt count must match exactly, across
-// workloads, seeds, tracker modes, estimation models, churn, and every
-// Tetris extension knob. Doubles are compared with ==; any drift, however
-// small, is a bug in an invalidation rule.
-// PR 3 widens the matrix along a third axis: the sharded parallel pass
-// (DESIGN.md §9) at 2 and 8 threads must match the serial scan — and the
-// naive oracle — placement for placement, for every config.
-// The SIMD axis (DESIGN.md §12) widens it again: the SoA batch scoring
-// kernel with simd ∈ {off, on} must match too, serial and sharded. The
-// oracle always scores scalar (naive_scoring forces simd off), so every
-// vector lane is held to the same serial-scan contract.
+// group-estimate memos, wait FIFOs) plus the TetrisScheduler scan's
+// shortcuts (sticky rejection, probe reuse, free-capacity index, alignment
+// replay) and its SIMD batch kernel (DESIGN.md §12) — must produce
+// schedules BIT-IDENTICAL to the NaiveTetrisScheduler oracle on the
+// naive recompute-everything view. Not "close": every timestamp, host and
+// attempt count must match exactly, across workloads, seeds, tracker
+// modes, estimation models, churn, constraints and every Tetris extension
+// knob. Doubles are compared with ==; any drift, however small, is a bug
+// in an invalidation rule or a kernel lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/naive_tetris_scheduler.h"
 #include "core/score_kernel.h"
 #include "core/tetris_scheduler.h"
 #include "sim/simulator.h"
@@ -43,22 +39,12 @@ struct Case {
   sim::TrackerMode tracker = sim::TrackerMode::kUsage;
   sim::EstimationMode estimation = sim::EstimationMode::kOracle;
   core::TetrisConfig tetris;
+  // Injected task failures (SimConfig's task_failure_prob).
+  double task_failure_prob = 0;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.name;
-}
-
-// A matrix case run with injected task failures (SimConfig's
-// task_failure_prob).
-struct FailureCase {
-  Case base;
-  double task_failure_prob = 0;
-};
-
-std::string failure_case_name(
-    const ::testing::TestParamInfo<FailureCase>& info) {
-  return info.param.base.name;
 }
 
 sim::Workload make_load(Load kind, std::uint64_t seed) {
@@ -93,7 +79,7 @@ sim::Workload make_load(Load kind, std::uint64_t seed) {
   return workload::make_facebook_workload(cfg);
 }
 
-sim::SimConfig make_sim_config(const Case& c, double task_failure_prob) {
+sim::SimConfig make_sim_config(const Case& c) {
   sim::SimConfig cfg;
   cfg.num_machines = 10;
   cfg.machine_capacity = workload::facebook_machine();
@@ -108,7 +94,7 @@ sim::SimConfig make_sim_config(const Case& c, double task_failure_prob) {
   if (c.churn) {
     cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0}, {2, 200.0, 260.0}};
   }
-  cfg.task_failure_prob = task_failure_prob;
+  cfg.task_failure_prob = c.task_failure_prob;
   return cfg;
 }
 
@@ -178,129 +164,75 @@ std::string first_placement_divergence(const sim::SimResult& want,
   return "placements identical";
 }
 
-// Runs case `c` on every path and thread count and holds each to the
-// serial naive oracle.
-void expect_all_paths_identical(const Case& c, double task_failure_prob) {
+// Runs case `c` on the naive oracle and on the optimized path and holds
+// the second to the first.
+void expect_all_paths_identical(const Case& c) {
   const sim::Workload w = make_load(c.load, c.seed);
 
-  const auto run = [&](bool naive, int threads, core::SimdMode simd) {
-    sim::SimConfig cfg = make_sim_config(c, task_failure_prob);
+  const auto run = [&](bool naive) {
+    sim::SimConfig cfg = make_sim_config(c);
     cfg.naive_scheduler_view = naive;
-    // Record the event stream too: decision events must agree across the
-    // whole matrix (DESIGN.md §10's cross-configuration contract).
+    // Record the event stream too: decision events must agree (DESIGN.md
+    // §10's cross-configuration contract).
     cfg.trace.enabled = true;
     cfg.trace.max_chunks_per_thread = 1024;
-    core::TetrisConfig tcfg = c.tetris;
-    tcfg.naive_scoring = naive;
-    tcfg.num_threads = threads;
-    tcfg.simd = simd;
-    core::TetrisScheduler sched(tcfg);
+    if (naive) {
+      core::NaiveTetrisScheduler sched(c.tetris);
+      return sim::simulate(cfg, w, sched);
+    }
+    core::TetrisScheduler sched(c.tetris);
     return sim::simulate(cfg, w, sched);
   };
 
-  // The serial naive run is the oracle every other variant is held to.
-  // naive_scoring always scores scalar regardless of the simd knob.
-  const sim::SimResult oracle =
-      run(/*naive=*/true, /*threads=*/0, core::SimdMode::kOff);
-  if (task_failure_prob > 0) {
+  const sim::SimResult oracle = run(/*naive=*/true);
+  if (c.task_failure_prob > 0) {
     ASSERT_TRUE(std::any_of(oracle.tasks.begin(), oracle.tasks.end(),
                             [](const auto& t) { return t.attempts > 1; }))
         << "no task failure was injected";
   }
+  // The oracle must really be naive, or the comparison proves nothing.
+  EXPECT_EQ(oracle.perf.probe_cache_hits, 0);
+  EXPECT_EQ(oracle.perf.estimate_cache_hits, 0);
+  EXPECT_EQ(oracle.perf.avail_cache_hits, 0);
+  EXPECT_EQ(oracle.perf.sticky_rejects, 0);
+  EXPECT_EQ(oracle.perf.probe_reuses, 0);
+  EXPECT_EQ(oracle.perf.fit_index_skips, 0);
+  EXPECT_EQ(oracle.perf.score_replays, 0);
+  EXPECT_EQ(oracle.perf.simd_blocks, 0);
+  EXPECT_EQ(oracle.perf.scalar_tail_evals, 0);
 
-  struct Variant {
-    const char* name;
-    bool naive;
-    int threads;
-    core::SimdMode simd;
-  };
-  constexpr auto kOff = core::SimdMode::kOff;
-  constexpr auto kOn = core::SimdMode::kOn;
-  const Variant variants[] = {
-      {"naive-2threads", true, 2, kOff},
-      {"naive-8threads", true, 8, kOff},
-      {"opt-serial-simd-off", false, 0, kOff},
-      {"opt-serial-simd-on", false, 0, kOn},
-      {"opt-2threads-simd-off", false, 2, kOff},
-      {"opt-2threads-simd-on", false, 2, kOn},
-      {"opt-8threads-simd-off", false, 8, kOff},
-      {"opt-8threads-simd-on", false, 8, kOn},
-  };
-  for (const auto& v : variants) {
-    SCOPED_TRACE(v.name);
-    const sim::SimResult r = run(v.naive, v.threads, v.simd);
-    SCOPED_TRACE(first_placement_divergence(oracle, r));
-    expect_identical(oracle, r);
+  const sim::SimResult r = run(/*naive=*/false);
+  SCOPED_TRACE(first_placement_divergence(oracle, r));
+  expect_identical(oracle, r);
 
-    // The recorded event streams must agree decision-for-decision with the
-    // oracle's — same arrivals, passes, placements (including alignment
-    // scores and fairness cuts), task lifecycle and churn edges.
-    ASSERT_EQ(r.trace_log.dropped, 0u);
-    const trace::Divergence d = trace::first_divergence(
-        oracle.trace_log, r.trace_log, trace::CompareMode::kDecisions);
-    EXPECT_TRUE(d.identical) << d.description;
+  // The recorded event streams must agree decision-for-decision with the
+  // oracle's — same arrivals, passes, placements (including alignment
+  // scores and fairness cuts), task lifecycle and churn edges.
+  ASSERT_EQ(r.trace_log.dropped, 0u);
+  const trace::Divergence d = trace::first_divergence(
+      oracle.trace_log, r.trace_log, trace::CompareMode::kDecisions);
+  EXPECT_TRUE(d.identical) << d.description;
 
-    if (v.naive) {
-      // The naive oracle must really be naive (at any thread count), or
-      // the comparison proves nothing.
-      EXPECT_EQ(r.perf.probe_cache_hits, 0);
-      EXPECT_EQ(r.perf.estimate_cache_hits, 0);
-      EXPECT_EQ(r.perf.avail_cache_hits, 0);
-      EXPECT_EQ(r.perf.sticky_rejects, 0);
-      EXPECT_EQ(r.perf.probe_reuses, 0);
-      EXPECT_EQ(r.perf.fit_index_skips, 0);
-    } else {
-      // ... and the optimized path must really be optimized.
-      EXPECT_GT(r.perf.avail_cache_hits, 0);
-      EXPECT_GT(r.perf.probe_cache_hits + r.perf.probe_reuses +
-                    r.perf.sticky_rejects,
-                0);
-    }
-    if (v.threads > 0) {
-      // The sharded path must actually have run, and its per-shard
-      // score_evals split must account for every evaluation.
-      EXPECT_GT(r.perf.parallel_passes, 0);
-      ASSERT_FALSE(r.perf.shard_score_evals.empty());
-      long shard_sum = 0;
-      for (long e : r.perf.shard_score_evals) shard_sum += e;
-      EXPECT_EQ(shard_sum, r.perf.score_evals);
-    } else {
-      // The serial-SIMD wave runs inline: parallel bookkeeping stays off.
-      EXPECT_EQ(r.perf.parallel_passes, 0);
-      EXPECT_TRUE(r.perf.shard_score_evals.empty());
-    }
-    if (!v.naive && v.simd == core::SimdMode::kOn) {
-      // The batch kernel must actually have run (every batched lane lands
-      // in exactly one of the two counters).
-      EXPECT_GT(r.perf.simd_blocks * core::simd::lane_width() +
-                    r.perf.scalar_tail_evals,
-                0);
-    } else {
-      EXPECT_EQ(r.perf.simd_blocks, 0);
-      EXPECT_EQ(r.perf.scalar_tail_evals, 0);
-    }
-    // Scan-shape counters are thread-count invariant (DESIGN.md §9: only
-    // probes_issued and the probe-cache hit/miss split may shift, and
-    // only under churn, when shards independently re-probe a drained
-    // row). The oracle recomputes everything, so compare within a mode.
-    // simd_blocks / scalar_tail_evals are deliberately NOT compared: how
-    // cells group into vector blocks follows shard boundaries, so they
-    // legitimately differ across thread counts (DESIGN.md §12).
-    if (!v.naive && v.threads > 0) {
-      const sim::SimResult serial = run(false, 0, v.simd);
-      EXPECT_EQ(r.perf.score_evals, serial.perf.score_evals);
-      EXPECT_EQ(r.perf.sticky_rejects, serial.perf.sticky_rejects);
-      EXPECT_EQ(r.perf.probe_reuses, serial.perf.probe_reuses);
-      EXPECT_EQ(r.perf.fit_index_skips, serial.perf.fit_index_skips);
-      EXPECT_EQ(r.perf.row_skips, serial.perf.row_skips);
-    }
-  }
+  // ... and the optimized path must really be optimized: caches hit, and
+  // the batch kernel ran (every batched lane lands in exactly one of the
+  // two kernel counters).
+  EXPECT_GT(r.perf.avail_cache_hits, 0);
+  EXPECT_GT(r.perf.probe_cache_hits + r.perf.probe_reuses +
+                r.perf.sticky_rejects,
+            0);
+  EXPECT_GT(r.perf.simd_blocks * core::simd::lane_width() +
+                r.perf.scalar_tail_evals,
+            0);
+  // Both score the same cells: a replayed score is one the oracle
+  // recomputes.
+  EXPECT_EQ(r.perf.score_evals + r.perf.score_replays,
+            oracle.perf.score_evals);
 }
 
 class EquivalenceTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(EquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
-  expect_all_paths_identical(GetParam(), /*task_failure_prob=*/0);
+  expect_all_paths_identical(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -366,9 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
                return t;
              }()},
         // Placement constraints (DESIGN.md §13): the admission predicate
-        // must filter identically in the serial scan, the sharded scan,
-        // the SIMD waves and the naive oracle — constrained schedules
-        // stay bit-identical across the whole variant grid.
+        // must filter identically in the optimized scan and the naive
+        // oracle — constrained schedules stay bit-identical.
         Case{"ConstrainedSuite", Load::kConstrained, 1, false,
              sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}},
         Case{"ConstrainedSuiteSeed2", Load::kConstrained, 2, false,
@@ -395,11 +326,10 @@ INSTANTIATE_TEST_SUITE_P(
              }()}),
     case_name);
 
-class TaskFailureEquivalenceTest
-    : public ::testing::TestWithParam<FailureCase> {};
+class TaskFailureEquivalenceTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(TaskFailureEquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
-  expect_all_paths_identical(GetParam().base, GetParam().task_failure_prob);
+  expect_all_paths_identical(GetParam());
 }
 
 // Injected task failures requeue attempts into partly drained runnable
@@ -410,23 +340,17 @@ TEST_P(TaskFailureEquivalenceTest, AllPathsAndThreadCountsAreBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, TaskFailureEquivalenceTest,
     ::testing::Values(
-        FailureCase{Case{"SuiteTaskFailures", Load::kSuite, 1, false,
-                         sim::TrackerMode::kUsage,
-                         sim::EstimationMode::kOracle, {}},
-                    0.2},
-        FailureCase{Case{"FacebookTaskFailures", Load::kFacebook, 1, false,
-                         sim::TrackerMode::kUsage,
-                         sim::EstimationMode::kOracle, {}},
-                    0.2},
-        FailureCase{Case{"FacebookTaskFailuresChurn", Load::kFacebook, 2,
-                         true, sim::TrackerMode::kAllocation,
-                         sim::EstimationMode::kOracle, {}},
-                    0.15},
-        FailureCase{Case{"ConstrainedTaskFailuresChurn", Load::kConstrained,
-                         1, true, sim::TrackerMode::kUsage,
-                         sim::EstimationMode::kLearnedProfile, {}},
-                    0.15}),
-    failure_case_name);
+        Case{"SuiteTaskFailures", Load::kSuite, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}, 0.2},
+        Case{"FacebookTaskFailures", Load::kFacebook, 1, false,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kOracle, {}, 0.2},
+        Case{"FacebookTaskFailuresChurn", Load::kFacebook, 2, true,
+             sim::TrackerMode::kAllocation, sim::EstimationMode::kOracle, {},
+             0.15},
+        Case{"ConstrainedTaskFailuresChurn", Load::kConstrained, 1, true,
+             sim::TrackerMode::kUsage, sim::EstimationMode::kLearnedProfile,
+             {}, 0.15}),
+    case_name);
 
 // Pass samples: backlog and placement counts are schedule-derived, so they
 // must agree between the two paths as well (latency, of course, differs —
@@ -441,9 +365,7 @@ TEST(EquivalencePassSamples, BacklogAndPlacementsMatch) {
 
   sim::SimConfig naive_cfg = cfg;
   naive_cfg.naive_scheduler_view = true;
-  core::TetrisConfig naive_tcfg;
-  naive_tcfg.naive_scoring = true;
-  core::TetrisScheduler naive_sched(naive_tcfg);
+  core::NaiveTetrisScheduler naive_sched;
   const sim::SimResult naive = sim::simulate(naive_cfg, w, naive_sched);
 
   core::TetrisScheduler opt_sched;
@@ -583,9 +505,7 @@ TEST(EquivalenceInvalidation, TaskFinishUnblocksDependentStages) {
 
   sim::SimConfig naive_cfg = cfg;
   naive_cfg.naive_scheduler_view = true;
-  core::TetrisConfig naive_tcfg;
-  naive_tcfg.naive_scoring = true;
-  core::TetrisScheduler naive_sched(naive_tcfg);
+  core::NaiveTetrisScheduler naive_sched;
   const sim::SimResult naive = sim::simulate(naive_cfg, w, naive_sched);
   expect_identical(naive, opt);
 }
@@ -620,9 +540,7 @@ TEST(EquivalenceInvalidation, LateArrivalsEnterTheCachedView) {
 
   sim::SimConfig naive_cfg = cfg;
   naive_cfg.naive_scheduler_view = true;
-  core::TetrisConfig naive_tcfg;
-  naive_tcfg.naive_scoring = true;
-  core::TetrisScheduler naive_sched(naive_tcfg);
+  core::NaiveTetrisScheduler naive_sched;
   const sim::SimResult naive = sim::simulate(naive_cfg, w, naive_sched);
   expect_identical(naive, opt);
 }

@@ -9,10 +9,10 @@
 #include <memory>
 #include <set>
 
+#include "core/naive_tetris_scheduler.h"
 #include "core/tetris_scheduler.h"
 #include "sched/constrained_random_scheduler.h"
 #include "sched/drf_scheduler.h"
-#include "sched/random_scheduler.h"
 #include "sched/slot_scheduler.h"
 #include "sched/srtf_scheduler.h"
 #include "sim/simulator.h"
@@ -25,6 +25,8 @@
 namespace tetris {
 namespace {
 
+// kRandom is ConstrainedRandomScheduler, uniform over the up machines
+// when nothing is constrained.
 enum class Sched { kTetris, kSlot, kDrf, kSrtf, kRandom };
 enum class Load { kSuite, kFacebook };
 
@@ -32,9 +34,8 @@ struct Case {
   Sched sched;
   Load load;
   std::uint64_t seed;
-  // Tetris-only (DESIGN.md §9): worker threads for the scheduling pass.
-  // The other schedulers ignore it.
-  int num_threads = 0;
+  // Tetris-only: run the NaiveTetrisScheduler oracle on the naive view.
+  bool naive = false;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
@@ -58,19 +59,15 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   }
   s += info.param.load == Load::kSuite ? "Suite" : "Facebook";
   s += "Seed" + std::to_string(info.param.seed);
-  if (info.param.num_threads > 0)
-    s += "Threads" + std::to_string(info.param.num_threads);
+  if (info.param.naive) s += "Naive";
   return s;
 }
 
-std::unique_ptr<sim::Scheduler> make_scheduler(Sched kind,
-                                               int num_threads = 0) {
+std::unique_ptr<sim::Scheduler> make_scheduler(Sched kind, bool naive) {
   switch (kind) {
-    case Sched::kTetris: {
-      core::TetrisConfig tcfg;
-      tcfg.num_threads = num_threads;
-      return std::make_unique<core::TetrisScheduler>(tcfg);
-    }
+    case Sched::kTetris:
+      if (naive) return std::make_unique<core::NaiveTetrisScheduler>();
+      return std::make_unique<core::TetrisScheduler>();
     case Sched::kSlot:
       return std::make_unique<sched::SlotScheduler>();
     case Sched::kDrf:
@@ -78,7 +75,7 @@ std::unique_ptr<sim::Scheduler> make_scheduler(Sched kind,
     case Sched::kSrtf:
       return std::make_unique<sched::SrtfScheduler>();
     case Sched::kRandom:
-      return std::make_unique<sched::RandomScheduler>();
+      return std::make_unique<sched::ConstrainedRandomScheduler>();
   }
   return nullptr;
 }
@@ -111,7 +108,8 @@ TEST_P(SchedulerPropertyTest, UniversalInvariantsHold) {
   cfg.num_machines = 10;
   cfg.machine_capacity = workload::facebook_machine();
   if (c.sched == Sched::kTetris) cfg.tracker = sim::TrackerMode::kUsage;
-  auto scheduler = make_scheduler(c.sched, c.num_threads);
+  cfg.naive_scheduler_view = c.naive;
+  auto scheduler = make_scheduler(c.sched, c.naive);
   const sim::SimResult r = sim::simulate(cfg, w, *scheduler);
 
   // 1. Everything finishes and nothing runs twice.
@@ -187,8 +185,9 @@ TEST_P(ChurnPropertyTest, ChurnInvariantsHold) {
   cfg.num_machines = 10;
   cfg.machine_capacity = workload::facebook_machine();
   if (c.sched == Sched::kTetris) cfg.tracker = sim::TrackerMode::kUsage;
+  cfg.naive_scheduler_view = c.naive;
   cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0}, {2, 200.0, 260.0}};
-  auto scheduler = make_scheduler(c.sched, c.num_threads);
+  auto scheduler = make_scheduler(c.sched, c.naive);
   const sim::SimResult r = sim::simulate(cfg, w, *scheduler);
 
   // 1. The workload still drains, every task finishes exactly once.
@@ -237,15 +236,15 @@ TEST_P(ChurnPropertyTest, ChurnInvariantsHold) {
   EXPECT_LE(r.churn.effective_capacity, 1.0 + 1e-9);
 }
 
-// The Tetris rows run serial and at 4 threads: churn is where the sharded
-// pass's invalidation merges (drained rows, probe re-issues) are hardest,
-// so the invariants must hold on both scan paths.
+// The Tetris rows run the optimized scan and the naive oracle: churn is
+// where the scan's invalidations (drained rows, probe re-issues) are
+// hardest, so the invariants must hold on both.
 INSTANTIATE_TEST_SUITE_P(
     ChurnMatrix, ChurnPropertyTest,
-    ::testing::Values(Case{Sched::kTetris, Load::kSuite, 1, 0},
-                      Case{Sched::kTetris, Load::kSuite, 1, 4},
-                      Case{Sched::kTetris, Load::kFacebook, 1, 0},
-                      Case{Sched::kTetris, Load::kFacebook, 1, 4},
+    ::testing::Values(Case{Sched::kTetris, Load::kSuite, 1},
+                      Case{Sched::kTetris, Load::kSuite, 1, true},
+                      Case{Sched::kTetris, Load::kFacebook, 1},
+                      Case{Sched::kTetris, Load::kFacebook, 1, true},
                       Case{Sched::kSlot, Load::kFacebook, 1},
                       Case{Sched::kDrf, Load::kSuite, 1},
                       Case{Sched::kSrtf, Load::kFacebook, 1},
@@ -267,17 +266,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Constraint-satisfaction matrix (DESIGN.md §13): on a constraint-heavy
 // workload over a heterogeneous cluster, EVERY placement by EVERY
-// scheduler — Tetris across the naive x threads x simd x churn grid and
-// all baselines — must satisfy its stage's constraints. Checked post-hoc
-// from the decision trace by an independent replayer, so the assertion
-// does not share code with the admission predicate it is auditing.
+// scheduler — the optimized Tetris scan and the naive oracle, with and
+// without churn, and all baselines — must satisfy its stage's
+// constraints. Checked post-hoc from the decision trace by an independent
+// replayer, so the assertion does not share code with the admission
+// predicate it is auditing.
 struct ConstraintCase {
   std::string name;
   Sched sched = Sched::kTetris;
-  int num_threads = 0;
-  core::SimdMode simd = core::SimdMode::kOff;  // Tetris-only
-  bool naive = false;                          // Tetris-only
+  bool naive = false;  // Tetris-only, as in Case
   bool churn = false;
+  std::uint64_t seed = 1;  // of the constrained workload
 };
 
 std::string constraint_case_name(
@@ -299,7 +298,7 @@ TEST_P(ConstraintPropertyTest, EveryPlacementSatisfiesItsConstraints) {
   wcfg.base.num_machines = 10;
   wcfg.base.task_scale = 0.04;
   wcfg.base.arrival_window = 250;
-  wcfg.base.seed = 1;
+  wcfg.base.seed = c.seed;
   wcfg.intensity = 1.5;
   const sim::Workload w = workload::make_constrained_suite(wcfg);
 
@@ -314,21 +313,9 @@ TEST_P(ConstraintPropertyTest, EveryPlacementSatisfiesItsConstraints) {
     cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0},
                           {2, 200.0, 260.0}};
   }
+  if (c.sched == Sched::kTetris) cfg.tracker = sim::TrackerMode::kUsage;
   cfg.naive_scheduler_view = c.naive;
-
-  std::unique_ptr<sim::Scheduler> scheduler;
-  if (c.sched == Sched::kTetris) {
-    cfg.tracker = sim::TrackerMode::kUsage;
-    core::TetrisConfig tcfg;
-    tcfg.num_threads = c.num_threads;
-    tcfg.simd = c.simd;
-    tcfg.naive_scoring = c.naive;
-    scheduler = std::make_unique<core::TetrisScheduler>(tcfg);
-  } else if (c.sched == Sched::kRandom) {
-    scheduler = std::make_unique<sched::ConstrainedRandomScheduler>();
-  } else {
-    scheduler = make_scheduler(c.sched);
-  }
+  const auto scheduler = make_scheduler(c.sched, c.naive);
   const sim::SimResult r = sim::simulate(cfg, w, *scheduler);
 
   // The workload is feasible: nothing may be doomed, everything drains.
@@ -348,20 +335,12 @@ INSTANTIATE_TEST_SUITE_P(
     ConstraintMatrix, ConstraintPropertyTest,
     ::testing::Values(
         ConstraintCase{"TetrisSerial"},
-        ConstraintCase{"TetrisSerialSimdOn", Sched::kTetris, 0,
-                       core::SimdMode::kOn},
-        ConstraintCase{"TetrisNaiveOracle", Sched::kTetris, 0,
-                       core::SimdMode::kOff, true},
-        ConstraintCase{"Tetris4Threads", Sched::kTetris, 4},
-        ConstraintCase{"Tetris8ThreadsSimdOn", Sched::kTetris, 8,
-                       core::SimdMode::kOn},
-        ConstraintCase{"TetrisChurnSerial", Sched::kTetris, 0,
-                       core::SimdMode::kOff, false, true},
-        ConstraintCase{"TetrisChurn4ThreadsSimdOn", Sched::kTetris, 4,
-                       core::SimdMode::kOn, false, true},
+        ConstraintCase{"TetrisNaiveOracle", Sched::kTetris, true},
+        ConstraintCase{"TetrisChurnSerial", Sched::kTetris, false, true},
+        ConstraintCase{"TetrisNaiveOracleChurn", Sched::kTetris, true, true},
         ConstraintCase{"ConstrainedRandom", Sched::kRandom},
-        ConstraintCase{"ConstrainedRandomChurn", Sched::kRandom, 0,
-                       core::SimdMode::kOff, false, true},
+        ConstraintCase{"ConstrainedRandomChurn", Sched::kRandom, false,
+                       true},
         ConstraintCase{"Slot", Sched::kSlot},
         ConstraintCase{"Drf", Sched::kDrf},
         ConstraintCase{"Srtf", Sched::kSrtf}),

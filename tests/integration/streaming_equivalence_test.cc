@@ -3,9 +3,9 @@
 // pruning — must produce runs BIT-IDENTICAL to the batch simulator it
 // replaces, as long as no resident ceiling forces a deferral. Not "close":
 // every placement, timestamp, job record and decision-level trace event
-// must match exactly, across workloads, the naive/optimized scoring pair,
-// serial and 8-thread passes, noisy estimation (RNG stream parity) and
-// churn (fork-order parity). The batch path is the oracle; any drift is a
+// must match exactly, across workloads, the naive oracle and the
+// optimized scan, noisy estimation (RNG stream parity) and churn
+// (fork-order parity). The batch path is the oracle; any drift is a
 // bug in the admission gate's event ordering or the retirement rules.
 //
 // A second layer proves the trace round trip: the same workload fed
@@ -16,9 +16,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "core/naive_tetris_scheduler.h"
 #include "core/tetris_scheduler.h"
 #include "sim/simulator.h"
 #include "trace/replayer.h"
@@ -36,30 +38,18 @@ enum class Load { kMotivating, kFacebook, kSuite };
 struct Case {
   std::string name;
   Load load = Load::kMotivating;
-  bool naive = false;  // naive scoring + naive scheduler view
-  int threads = 0;
+  bool naive = false;  // NaiveTetrisScheduler + naive scheduler view
   bool churn = false;
   sim::EstimationMode estimation = sim::EstimationMode::kOracle;
   double lookahead = 30.0;
-  // Opt cases default to the batch kernel (the production default); the
-  // explicit SimdOff cases pin the scalar scan to the same contract.
-  core::SimdMode simd = core::SimdMode::kOn;
+  // Injected task failures (SimConfig's task_failure_prob).
+  double task_failure_prob = 0;
+  // Workload seed of the generated (Facebook and suite) scenarios.
+  std::uint64_t seed = 1;
 };
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.name;
-}
-
-// A matrix case run with injected task failures (SimConfig's
-// task_failure_prob).
-struct FailureCase {
-  Case base;
-  double task_failure_prob = 0;
-};
-
-std::string failure_case_name(
-    const ::testing::TestParamInfo<FailureCase>& info) {
-  return info.param.base.name;
 }
 
 struct Scenario {
@@ -67,7 +57,7 @@ struct Scenario {
   sim::SimConfig config;
 };
 
-Scenario make_scenario(const Case& c, double task_failure_prob) {
+Scenario make_scenario(const Case& c) {
   Scenario s;
   if (c.load == Load::kMotivating) {
     auto ex = workload::make_motivating_example();
@@ -79,7 +69,7 @@ Scenario make_scenario(const Case& c, double task_failure_prob) {
     cfg.num_machines = 10;
     cfg.task_scale = 0.3;
     cfg.arrival_window = 250;
-    cfg.seed = 1;
+    cfg.seed = c.seed;
     s.workload = workload::make_facebook_workload(cfg);
     s.config.num_machines = 10;
     s.config.machine_capacity = workload::facebook_machine();
@@ -89,7 +79,7 @@ Scenario make_scenario(const Case& c, double task_failure_prob) {
     cfg.num_machines = 10;
     cfg.task_scale = 0.04;
     cfg.arrival_window = 250;
-    cfg.seed = 1;
+    cfg.seed = c.seed;
     s.workload = workload::make_suite_workload(cfg);
     s.config.num_machines = 10;
     s.config.machine_capacity = workload::facebook_machine();
@@ -102,25 +92,26 @@ Scenario make_scenario(const Case& c, double task_failure_prob) {
   if (c.churn) {
     s.config.churn.scripted = {{1, 20.0, 80.0}, {4, 50.0, 140.0}};
   }
-  s.config.task_failure_prob = task_failure_prob;
+  s.config.task_failure_prob = c.task_failure_prob;
   // Decision-stream equality is part of the contract.
   s.config.trace.enabled = true;
   s.config.trace.max_chunks_per_thread = 1024;
   return s;
 }
 
+// The case's scheduler: the naive oracle or the optimized scan.
+std::unique_ptr<sim::Scheduler> make_scheduler(const Case& c) {
+  if (c.naive) return std::make_unique<core::NaiveTetrisScheduler>();
+  return std::make_unique<core::TetrisScheduler>();
+}
+
 sim::SimResult run_case(const Case& c, const Scenario& s, bool streaming) {
   sim::SimConfig cfg = s.config;
   cfg.naive_scheduler_view = c.naive;
-  cfg.num_threads = c.threads;
   cfg.stream.enabled = streaming;
   cfg.stream.lookahead = c.lookahead;
-  core::TetrisConfig tcfg;
-  tcfg.naive_scoring = c.naive;
-  tcfg.num_threads = c.threads;
-  tcfg.simd = c.simd;
-  core::TetrisScheduler sched(tcfg);
-  return sim::simulate(cfg, s.workload, sched);
+  const auto sched = make_scheduler(c);
+  return sim::simulate(cfg, s.workload, *sched);
 }
 
 // Exact double equality is deliberate: streaming must reproduce the very
@@ -189,8 +180,8 @@ std::string first_placement_divergence(const sim::SimResult& want,
   return "placements identical";
 }
 
-void expect_stream_matches_batch(const Case& c, double task_failure_prob) {
-  const Scenario s = make_scenario(c, task_failure_prob);
+void expect_stream_matches_batch(const Case& c) {
+  const Scenario s = make_scenario(c);
 
   const sim::SimResult batch = run_case(c, s, /*streaming=*/false);
   const sim::SimResult stream = run_case(c, s, /*streaming=*/true);
@@ -221,10 +212,9 @@ void expect_stream_matches_batch(const Case& c, double task_failure_prob) {
   // With injected task failures, requeues land in partly drained
   // locality windows and meet the churn-viability refresh: hold the
   // optimized stream to the naive batch oracle as well.
-  if (task_failure_prob > 0 && !c.naive) {
+  if (c.task_failure_prob > 0 && !c.naive) {
     Case naive = c;
     naive.naive = true;
-    naive.threads = 0;
     const sim::SimResult oracle = run_case(naive, s, /*streaming=*/false);
     ASSERT_TRUE(std::any_of(oracle.tasks.begin(), oracle.tasks.end(),
                             [](const auto& t) { return t.attempts > 1; }))
@@ -238,13 +228,12 @@ void expect_stream_matches_batch(const Case& c, double task_failure_prob) {
   }
 }
 
-void expect_file_source_matches_batch(const Case& c,
-                                      double task_failure_prob) {
+void expect_file_source_matches_batch(const Case& c) {
   // The file round trip is source plumbing, not a scoring path: one pass
-  // through the serial/opt member of each scenario family keeps the
+  // through the optimized member of each scenario family keeps the
   // matrix affordable.
-  if (c.naive || c.threads != 0) GTEST_SKIP() << "covered by in-memory case";
-  const Scenario s = make_scenario(c, task_failure_prob);
+  if (c.naive) GTEST_SKIP() << "covered by in-memory case";
+  const Scenario s = make_scenario(c);
 
   const std::string path = ::testing::TempDir() + "stream_equiv_" + c.name +
                            ".bin";
@@ -252,13 +241,8 @@ void expect_file_source_matches_batch(const Case& c,
   workload::BinaryTraceReader reader(path);
 
   sim::SimConfig cfg = s.config;
-  cfg.naive_scheduler_view = c.naive;
-  cfg.num_threads = c.threads;
   cfg.stream.lookahead = c.lookahead;
-  core::TetrisConfig tcfg;
-  tcfg.naive_scoring = c.naive;
-  tcfg.num_threads = c.threads;
-  core::TetrisScheduler sched(tcfg);
+  core::TetrisScheduler sched;
   const sim::SimResult from_file = sim::simulate_stream(cfg, reader, sched);
 
   const sim::SimResult batch = run_case(c, s, /*streaming=*/false);
@@ -273,58 +257,46 @@ void expect_file_source_matches_batch(const Case& c,
 class StreamingEquivalenceTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(StreamingEquivalenceTest, StreamMatchesBatchBitForBit) {
-  expect_stream_matches_batch(GetParam(), /*task_failure_prob=*/0);
+  expect_stream_matches_batch(GetParam());
 }
 
 TEST_P(StreamingEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
-  expect_file_source_matches_batch(GetParam(), /*task_failure_prob=*/0);
+  expect_file_source_matches_batch(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamingEquivalenceTest,
     ::testing::Values(
-        // The {workload} x {serial, 8 threads} x {naive, opt} grid.
-        Case{"MotivatingOptSerial", Load::kMotivating, false, 0},
-        Case{"MotivatingOpt8Threads", Load::kMotivating, false, 8},
-        Case{"MotivatingNaiveSerial", Load::kMotivating, true, 0},
-        Case{"MotivatingNaive8Threads", Load::kMotivating, true, 8},
-        Case{"FacebookOptSerial", Load::kFacebook, false, 0},
-        Case{"FacebookOpt8Threads", Load::kFacebook, false, 8},
-        Case{"FacebookNaiveSerial", Load::kFacebook, true, 0},
-        Case{"FacebookNaive8Threads", Load::kFacebook, true, 8},
+        // The {workload} x {naive, opt} grid.
+        Case{"MotivatingOptSerial", Load::kMotivating, false},
+        Case{"MotivatingNaiveSerial", Load::kMotivating, true},
+        Case{"FacebookOptSerial", Load::kFacebook, false},
+        Case{"FacebookNaiveSerial", Load::kFacebook, true},
         // Composition: the admission gate must not disturb the churn or
         // noise RNG streams (fork-order parity with the batch ctor).
-        Case{"SuiteChurnOptSerial", Load::kSuite, false, 0, true},
-        Case{"FacebookChurnOpt8Threads", Load::kFacebook, false, 8, true},
-        Case{"SuiteNoisyOptSerial", Load::kSuite, false, 0, false,
+        Case{"SuiteChurnOptSerial", Load::kSuite, false, true},
+        Case{"FacebookChurnOptSerial", Load::kFacebook, false, true},
+        Case{"SuiteNoisyOptSerial", Load::kSuite, false, false,
              sim::EstimationMode::kNoisy},
-        Case{"FacebookNoisyNaiveSerial", Load::kFacebook, true, 0, false,
+        Case{"FacebookNoisyNaiveSerial", Load::kFacebook, true, false,
              sim::EstimationMode::kNoisy},
         // A zero look-ahead window admits strictly on due arrivals; the
         // schedule must not depend on prefetch depth.
-        Case{"FacebookOptNoLookahead", Load::kFacebook, false, 0, false,
+        Case{"FacebookOptNoLookahead", Load::kFacebook, false, false,
              sim::EstimationMode::kOracle, 0.0},
-        Case{"MotivatingOptNoLookahead", Load::kMotivating, false, 0, false,
-             sim::EstimationMode::kOracle, 0.0},
-        // The simd knob must be invisible to the streaming contract
-        // (DESIGN.md §12): scalar-scan runs match batch just like the
-        // default batch-kernel runs above.
-        Case{"FacebookOptSerialSimdOff", Load::kFacebook, false, 0, false,
-             sim::EstimationMode::kOracle, 30.0, core::SimdMode::kOff},
-        Case{"FacebookOpt8ThreadsSimdOff", Load::kFacebook, false, 8, false,
-             sim::EstimationMode::kOracle, 30.0, core::SimdMode::kOff}),
+        Case{"MotivatingOptNoLookahead", Load::kMotivating, false, false,
+             sim::EstimationMode::kOracle, 0.0}),
     case_name);
 
 class StreamingFailureEquivalenceTest
-    : public ::testing::TestWithParam<FailureCase> {};
+    : public ::testing::TestWithParam<Case> {};
 
 TEST_P(StreamingFailureEquivalenceTest, StreamMatchesBatchBitForBit) {
-  expect_stream_matches_batch(GetParam().base, GetParam().task_failure_prob);
+  expect_stream_matches_batch(GetParam());
 }
 
 TEST_P(StreamingFailureEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
-  expect_file_source_matches_batch(GetParam().base,
-                                   GetParam().task_failure_prob);
+  expect_file_source_matches_batch(GetParam());
 }
 
 // Injected task failures: requeued attempts re-enter the runnable sets
@@ -333,16 +305,13 @@ TEST_P(StreamingFailureEquivalenceTest, BinaryTraceFileSourceMatchesBatch) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamingFailureEquivalenceTest,
     ::testing::Values(
-        FailureCase{Case{"FacebookFailuresOptSerial", Load::kFacebook, false,
-                         0, false},
-                    0.2},
-        FailureCase{Case{"FacebookFailuresNaiveSerial", Load::kFacebook, true,
-                         0, false},
-                    0.2},
-        FailureCase{Case{"SuiteFailuresChurnOpt8Threads", Load::kSuite,
-                         false, 8, true},
-                    0.15}),
-    failure_case_name);
+        Case{"FacebookFailuresOptSerial", Load::kFacebook, false, false,
+             sim::EstimationMode::kOracle, 30.0, 0.2},
+        Case{"FacebookFailuresNaiveSerial", Load::kFacebook, true, false,
+             sim::EstimationMode::kOracle, 30.0, 0.2},
+        Case{"SuiteFailuresChurnOptSerial", Load::kSuite, false, true,
+             sim::EstimationMode::kOracle, 30.0, 0.15}),
+    case_name);
 
 }  // namespace
 }  // namespace tetris

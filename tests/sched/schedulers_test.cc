@@ -5,8 +5,8 @@
 
 #include <algorithm>
 
+#include "sched/constrained_random_scheduler.h"
 #include "sched/drf_scheduler.h"
-#include "sched/random_scheduler.h"
 #include "sched/slot_scheduler.h"
 #include "sched/srtf_scheduler.h"
 #include "sched/upper_bound.h"
@@ -263,13 +263,13 @@ TEST(SrtfScheduler, AvoidsOverAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Random scheduler
+// Random scheduler (uniform over the up machines when nothing constrains)
 
-TEST(RandomScheduler, CompletesAndNeverOverAllocates) {
+TEST(ConstrainedRandomScheduler, CompletesAndNeverOverAllocates) {
   std::vector<TaskSpec> tasks;
   for (int i = 0; i < 12; ++i) tasks.push_back(cpu_task(2, 1, 5));
   for (int i = 0; i < 6; ++i) tasks.push_back(disk_task(300, 100, 0));
-  RandomScheduler sched(7);
+  ConstrainedRandomScheduler sched(7);
   SimConfig cfg = one_machine();
   cfg.num_machines = 3;
   const auto r = sim::simulate(cfg, single_stage(tasks), sched);

@@ -101,6 +101,14 @@ TEST(Wire, RejectsUnknownKindAndBadMask) {
     EXPECT_FALSE(wire::decode_event(r, &out));
   }
   {
+    // A retired kind is never written, so reading one is corruption.
+    std::vector<std::uint8_t> bad = buf;
+    bad[0] = kRetiredEventKind;
+    wire::Reader r(bad.data(), bad.size());
+    Event out;
+    EXPECT_FALSE(wire::decode_event(r, &out));
+  }
+  {
     // A mask with bits above the defined field range is corruption.
     std::vector<std::uint8_t> bad;
     bad.push_back(static_cast<std::uint8_t>(EventKind::kJobArrival));
@@ -207,7 +215,7 @@ TEST(Recorder, MergesThreadStreamsByGlobalSequence) {
     workers.emplace_back([&rec, t] {
       for (int i = 0; i < kPerThread; ++i) {
         Event ev;
-        ev.kind = EventKind::kShardTiming;
+        ev.kind = EventKind::kUsageReport;
         ev.a = t;
         ev.b = i;
         rec.record(ev);
@@ -330,27 +338,23 @@ TEST(Compare, DecisionModeIgnoresInstrumentationEvents) {
   TraceLog b = a;
   // Interleave instrumentation-only events into one stream; decisions
   // still match, full comparison diverges.
-  Event shard;
-  shard.kind = EventKind::kShardTiming;
-  shard.a = 0;
   Event scan;
   scan.kind = EventKind::kGroupScan;
   scan.a = 1;
   Event usage;
   usage.kind = EventKind::kUsageReport;
   usage.a = 2;
-  b.events.insert(b.events.begin() + 1, {shard, scan, usage});
+  b.events.insert(b.events.begin() + 1, {scan, usage});
 
-  EXPECT_FALSE(is_decision_event(EventKind::kShardTiming));
   EXPECT_FALSE(is_decision_event(EventKind::kGroupScan));
   EXPECT_FALSE(is_decision_event(EventKind::kUsageReport));
-  // Run metadata (threads, naive flag) differs across configurations
+  // Run metadata (the naive-view flag) differs across configurations
   // whose decisions must still match.
   EXPECT_FALSE(is_decision_event(EventKind::kRunBegin));
   EXPECT_TRUE(is_decision_event(EventKind::kPlacement));
   EXPECT_TRUE(is_decision_event(EventKind::kRunEnd));
 
-  EXPECT_EQ(filtered_events(b, CompareMode::kFull).size(), 6u);
+  EXPECT_EQ(filtered_events(b, CompareMode::kFull).size(), 5u);
   EXPECT_EQ(filtered_events(b, CompareMode::kDecisions).size(), 2u);
   EXPECT_FALSE(first_divergence(a, b, CompareMode::kFull).identical);
   EXPECT_TRUE(first_divergence(a, b, CompareMode::kDecisions).identical);
