@@ -17,8 +17,7 @@ namespace tetris::analysis {
 //    events carrying their decision fields (tier, fairness cut,
 //    alignment, eps*p_hat) as args;
 //  - scheduling passes live on a dedicated "scheduler" process, with
-//    measured wall-clock latencies as args;
-//  - tracker usage reports become counter ("C") tracks per node.
+//    measured wall-clock latencies as args.
 // Timestamps are simulation seconds scaled to microseconds.
 std::string chrome_trace_json(const trace::TraceLog& log);
 

@@ -68,9 +68,6 @@ struct TetrisConfig {
   // deployed behaviour).
   double future_lookahead = 0;
 
-  // Check disk-read/net-out availability at remote input sources (§3.2).
-  bool check_remote = true;
-
   // Ablation switch (§5.3.1): consider only CPU and memory, like the
   // baselines — reintroduces disk/network over-allocation.
   bool only_cpu_mem = false;

@@ -204,7 +204,7 @@ bool admits(const TetrisConfig& config, const sim::SchedulerContext& ctx,
             const sim::Probe& probe, const Resources& avail) {
   if (config.only_cpu_mem) return sched::fits_cpu_mem(probe.demand, avail);
   return sched::fits_all_local(probe.demand, avail) &&
-         (!config.check_remote || sched::remote_legs_fit(ctx, probe));
+         sched::remote_legs_fit(ctx, probe);
 }
 
 double cell_alignment(const TetrisConfig& config, const sim::Probe& probe,

@@ -240,12 +240,8 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
   // None of them changes which cells contribute to the eps normalizer,
   // or in what order, so every placement matches the oracle bit for
   // bit.
-  //
-  // SoA views over availability and capacity; null for contexts that do
-  // not maintain them, in which case batches gather per machine through
-  // the virtuals — same values, just slower.
-  const util::ResourcePlanes* avail_planes = ctx.availability_planes();
-  const util::ResourcePlanes* cap_planes = ctx.capacity_planes();
+  const util::ResourcePlanes& avail_planes = *ctx.availability_planes();
+  const util::ResourcePlanes& cap_planes = *ctx.capacity_planes();
   // Persistent SoA cell matrix (members, see tetris_scheduler.h): ensure
   // capacity, then reset only the per-pass scan flags. Slots keep their
   // probes' heap buffers; flags are four byte-plane fills instead of a
@@ -372,19 +368,11 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
     group_demand.set(g, groups[g].est_demand);
   row_fit.assign(group_demand.padded_lanes(), 0);
   const auto recompute_fit_index = [&]() {
-    Resources max_avail;
-    if (avail_planes != nullptr) {
-      // Down machines hold zero in the availability planes and every
-      // plane value is >= 0 (max_zero'd), so folding them in is exact;
-      // lanes past num_machines are rack uplinks and stay excluded.
-      max_avail = simd::cwise_max_lanes(*avail_planes,
-                                        static_cast<std::size_t>(num_machines));
-    } else {
-      for (int m = 0; m < num_machines; ++m) {
-        if (!ctx.machine_up(m)) continue;
-        max_avail = max_avail.cwise_max(ctx.available(m));
-      }
-    }
+    // Down machines hold zero in the availability planes and every plane
+    // value is >= 0 (max_zero'd), so folding them in is exact; lanes past
+    // num_machines are rack uplinks and stay excluded.
+    const Resources max_avail = simd::cwise_max_lanes(
+        avail_planes, static_cast<std::size_t>(num_machines));
     simd::fits_cpu_mem_mask(group_demand, max_avail, row_fit.data());
   };
   recompute_fit_index();
@@ -435,21 +423,11 @@ void TetrisScheduler::schedule(sim::SchedulerContext& ctx) {
       for (std::size_t l = 0; l < n; ++l) {
         const auto [g, m, rec] = pending[i + l];
         const sim::Probe& probe = cell_probes_[cidx(g, m)];
-        for (std::size_t r = 0; r < kNumResources; ++r)
+        const auto lane = static_cast<std::size_t>(m);
+        for (std::size_t r = 0; r < kNumResources; ++r) {
           block.demand[r][l] = probe.demand.at(r);
-        if (avail_planes != nullptr && cap_planes != nullptr) {
-          for (std::size_t r = 0; r < kNumResources; ++r) {
-            block.avail[r][l] =
-                avail_planes->plane(r)[static_cast<std::size_t>(m)];
-            block.cap[r][l] = cap_planes->plane(r)[static_cast<std::size_t>(m)];
-          }
-        } else {
-          const Resources av = ctx.available(m);
-          const Resources cp = ctx.capacity(m);
-          for (std::size_t r = 0; r < kNumResources; ++r) {
-            block.avail[r][l] = av.at(r);
-            block.cap[r][l] = cp.at(r);
-          }
+          block.avail[r][l] = avail_planes.plane(r)[lane];
+          block.cap[r][l] = cap_planes.plane(r)[lane];
         }
         block.local_fraction[l] = probe.local_fraction;
       }

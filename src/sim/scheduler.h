@@ -116,8 +116,10 @@ struct RunningTaskView {
   Resources demand;
 };
 
-// Usage report for a finished task; Tetris's demand estimator (§4.1)
-// consumes these to profile recurring jobs and running phases.
+// Usage report for a finished task: what a deployed demand estimator
+// (§4.1) learns from. The simulation models that estimator through
+// SimConfig's estimation mode instead, so the schedulers here only drain
+// them.
 struct TaskReport {
   JobId job = -1;
   int stage = -1;
@@ -140,21 +142,17 @@ class SchedulerContext {
   virtual Resources available(MachineId m) const = 0;
   virtual int running_tasks_on(MachineId m) const = 0;
 
-  // Structure-of-arrays views (DESIGN.md §12): one contiguous zero-padded
-  // lane array per resource dimension, lane = machine id, covering every
-  // id available()/capacity() accept (real machines first, rack uplinks
-  // after). A context that returns them guarantees coherence with
-  // available()/capacity() through every in-pass mutation — place() and
-  // preempt() update the planes as their source of truth — and across
-  // passes through churn, completions and tracker updates. Null by
-  // default: the SIMD scoring path then gathers per machine through the
-  // virtuals, which stays bit-identical, just slower.
-  virtual const util::ResourcePlanes* availability_planes() const {
-    return nullptr;
-  }
-  virtual const util::ResourcePlanes* capacity_planes() const {
-    return nullptr;
-  }
+  // Structure-of-arrays views (DESIGN.md §12), never null: one
+  // contiguous zero-padded lane array per resource dimension, lane =
+  // machine id, covering every id available()/capacity() accept (real
+  // machines first, rack uplinks after). Every context keeps them
+  // coherent with available()/capacity() through every in-pass mutation —
+  // place() and preempt() update the planes as their source of truth —
+  // and across passes through churn, completions and tracker updates; a
+  // down machine's availability lane holds zero. The Tetris scan reads
+  // its SIMD score blocks and free-capacity index from them.
+  virtual const util::ResourcePlanes* availability_planes() const = 0;
+  virtual const util::ResourcePlanes* capacity_planes() const = 0;
 
   // Churn admission filter: false while machine `m` is down (failed and
   // not yet recovered). Down machines report zero availability and refuse
@@ -226,7 +224,10 @@ class SchedulerContext {
   virtual std::vector<RunningTaskView> running_tasks() const = 0;
   virtual bool preempt(int task_uid) = 0;
 
-  // Drains completion reports accumulated since the last call.
+  // Drains the completions since the previous pass. Reports a pass does
+  // not take are discarded when it ends, so a scheduler that never drains
+  // them costs one pass's worth of buffer, not one entry per finished
+  // task of the whole run.
   virtual std::vector<TaskReport> take_reports() = 0;
 
   // Hot-path instrumentation sink (DESIGN.md §8): schedulers add their

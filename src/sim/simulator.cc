@@ -2322,6 +2322,7 @@ void Simulator::run_pass(Scheduler& scheduler) {
   const auto t0 = std::chrono::steady_clock::now();
   scheduler.schedule(ctx);
   const auto t1 = std::chrono::steady_clock::now();
+  reports_.clear();  // completions since the previous pass only
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   if (tracer_) {
     trace::Event ev;

@@ -39,9 +39,8 @@ enum class EventKind : std::uint8_t {
   kMachineDown = 9,
   // a=machine id
   kMachineUp = 10,
-  // Tracker heartbeat report: a=node, b=live task count;
-  // x=charged cpu, y=charged mem, z=available cpu, w=available mem
-  kUsageReport = 11,
+  // 11 is retired (heartbeat reports of a removed standalone tracker),
+  // the same way as 3.
   // a=pass index, b=placements this pass; timing=pass wall-clock nanos
   kPassEnd = 12,
   // a=tasks completed, b=jobs completed; x=makespan
@@ -49,7 +48,11 @@ enum class EventKind : std::uint8_t {
 };
 
 inline constexpr int kNumEventKinds = 14;
-inline constexpr int kRetiredEventKind = 3;
+
+// Wire values no writer emits any more; a reader rejects them.
+inline constexpr bool is_retired_event_kind(int kind) {
+  return kind == 3 || kind == 11;
+}
 
 // Why a task attempt was killed (kTaskKill field f).
 enum class KillReason : std::uint8_t {

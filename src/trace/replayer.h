@@ -17,7 +17,7 @@ namespace tetris::trace {
 //
 // kDecisions first filters both streams down to schedule-derived events —
 // arrivals, pass begin/end, placements, task start/finish/kill, machine
-// down/up, run end — dropping kGroupScan, kUsageReport, and kRunBegin
+// down/up, run end — dropping kGroupScan and kRunBegin
 // (whose naive-view metadata differs between configurations by
 // construction). This is the cross-configuration contract: the naive
 // oracle and the optimized scan, on the naive or the cached simulator

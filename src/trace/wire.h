@@ -127,7 +127,7 @@ inline void encode_event(std::vector<std::uint8_t>& out, const Event& ev) {
 inline bool decode_event(Reader& in, Event* ev) {
   const std::uint8_t kind = in.get_u8();
   const std::uint64_t mask = in.get_varint();
-  if (!in.ok || kind >= kNumEventKinds || kind == kRetiredEventKind ||
+  if (!in.ok || kind >= kNumEventKinds || is_retired_event_kind(kind) ||
       (mask >> 11) != 0)
     return false;
   ev->kind = static_cast<EventKind>(kind);

@@ -11,6 +11,7 @@
 #include "core/naive_tetris_scheduler.h"
 #include "sim/simulator.h"
 #include "tests/support/fake_context.h"
+#include "trace/recorder.h"
 #include "util/units.h"
 
 namespace tetris::core {
@@ -746,6 +747,70 @@ TEST(TetrisHotPath, FitIndexIgnoresDownMachines) {
   EXPECT_TRUE(ctx.placements.empty());
   EXPECT_EQ(ctx.probe_count(), 0);
   EXPECT_GT(opt.perf().fit_index_skips, 0);
+}
+
+// Round-end eps replay order (DESIGN.md §12.4). Row 1 is a barrier
+// straggler (tier 1) after a tier-0 row 0, so the first round's tier-1
+// wave scores row 1 before the tier-0 wave scores row 0, while the
+// oracle's row-major loop adds row 0's |a| first. The decimal demands
+// and availabilities make the two addition orders round to different
+// sums, and eps = mean |a| / mean p feeds every later placement's SRTF
+// term, so the optimized scan matches the oracle's ε·p̂ bit for bit only
+// if it restores row-major order before accumulating.
+test::FakeContext eps_order_context() {
+  const Resources cap =
+      Resources::full(8, 8 * kGB, 100 * kMB, 100 * kMB, 125 * kMB, 125 * kMB);
+  test::FakeContext ctx({cap, cap});
+  ctx.set_available(0, cpu_mem(6.1, 5.3));
+  ctx.set_available(1, cpu_mem(5.7, 7.1));
+  ctx.add_group(0, 0, 3, cpu_mem(1.1, 1.3));
+  auto& straggler = ctx.add_group(1, 0, 1, cpu_mem(2.3, 0.4));
+  straggler.view.total = 10;  // 9 of 10 finished: past the barrier knob
+  straggler.view.finished = 9;
+  ctx.job(0).remaining_work = 41.3;
+  ctx.job(1).remaining_work = 7.9;
+  return ctx;
+}
+
+std::vector<trace::Event> placement_events(const trace::TraceLog& log) {
+  std::vector<trace::Event> out;
+  for (const auto& ev : log.events) {
+    if (ev.kind == trace::EventKind::kPlacement) out.push_back(ev);
+  }
+  return out;
+}
+
+TEST(TetrisHotPath, EpsAccumulatesInTheOraclesRowOrder) {
+  trace::TraceConfig tcfg;
+  tcfg.enabled = true;
+
+  auto naive_ctx = eps_order_context();
+  trace::Recorder naive_rec(tcfg);
+  naive_ctx.set_tracer(&naive_rec);
+  NaiveTetrisScheduler naive(hot_path_config());
+  naive.schedule(naive_ctx);
+
+  auto opt_ctx = eps_order_context();
+  trace::Recorder opt_rec(tcfg);
+  opt_ctx.set_tracer(&opt_rec);
+  TetrisScheduler opt(hot_path_config());
+  opt.schedule(opt_ctx);
+
+  const auto want = placement_events(naive_rec.take_log());
+  const auto got = placement_events(opt_rec.take_log());
+  // The straggler goes first (tier 1, eps still 0), then row 0 under an
+  // eps built from the first round's four |a| values.
+  ASSERT_EQ(want.size(), 4u);
+  EXPECT_EQ(want[0].a, 1);
+  EXPECT_EQ(want[0].e, 1);
+  EXPECT_EQ(want[0].y, 0.0);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].a, want[i].a) << i;
+    EXPECT_EQ(got[i].d, want[i].d) << i;
+    EXPECT_EQ(got[i].x, want[i].x) << i;
+    EXPECT_EQ(got[i].y, want[i].y) << i;  // bit for bit, no tolerance
+  }
 }
 
 }  // namespace

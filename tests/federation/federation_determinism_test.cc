@@ -26,7 +26,7 @@ FederationConfig make_config(int machines, DispatchPolicy policy) {
   fc.base.machine_capacity = workload::facebook_machine();
   fc.base.cells = {{0, machines / 2}, {machines / 2, machines}};
   fc.base.trace.enabled = true;
-  fc.base.trace.max_chunks_per_thread = 1024;
+  fc.base.trace.max_chunks = 1024;
   fc.policy = policy;
   fc.dispatch_seed = 5;
   // Mid-run kill of cell 1 so the failover path is under the same
@@ -109,7 +109,7 @@ FederationConfig make_16cell_config(int cell_threads,
   fc.base.machine_capacity = workload::facebook_machine();
   for (int c = 0; c < 16; ++c) fc.base.cells.push_back({c, c + 1});
   fc.base.trace.enabled = true;
-  fc.base.trace.max_chunks_per_thread = 1024;
+  fc.base.trace.max_chunks = 1024;
   fc.policy = policy;
   fc.dispatch_seed = 5;
   fc.kills = {{3, 150.0}};

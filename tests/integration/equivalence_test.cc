@@ -175,7 +175,7 @@ void expect_all_paths_identical(const Case& c) {
     // Record the event stream too: decision events must agree (DESIGN.md
     // §10's cross-configuration contract).
     cfg.trace.enabled = true;
-    cfg.trace.max_chunks_per_thread = 1024;
+    cfg.trace.max_chunks = 1024;
     if (naive) {
       core::NaiveTetrisScheduler sched(c.tetris);
       return sim::simulate(cfg, w, sched);

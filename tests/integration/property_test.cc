@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 
 #include "core/naive_tetris_scheduler.h"
@@ -284,6 +285,10 @@ std::string constraint_case_name(
   return info.param.name;
 }
 
+// gtest prints a parameter into the test's listed name; without this it
+// dumps the struct's raw bytes (heap pointers of `name` included).
+void PrintTo(const ConstraintCase& c, std::ostream* os) { *os << c.name; }
+
 class ConstraintPropertyTest
     : public ::testing::TestWithParam<ConstraintCase> {};
 
@@ -308,7 +313,7 @@ TEST_P(ConstraintPropertyTest, EveryPlacementSatisfiesItsConstraints) {
   cfg.machine_labels = workload::make_class_labels(10);
   cfg.machines_per_rack = 5;
   cfg.trace.enabled = true;
-  cfg.trace.max_chunks_per_thread = 1024;
+  cfg.trace.max_chunks = 1024;
   if (c.churn) {
     cfg.churn.scripted = {{2, 20.0, 80.0}, {7, 50.0, 140.0},
                           {2, 200.0, 260.0}};

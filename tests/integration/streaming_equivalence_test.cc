@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -51,6 +52,10 @@ struct Case {
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   return info.param.name;
 }
+
+// gtest prints a parameter into the test's listed name; without this it
+// dumps the struct's raw bytes (heap pointers of `name` included).
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 struct Scenario {
   sim::Workload workload;
@@ -95,7 +100,7 @@ Scenario make_scenario(const Case& c) {
   s.config.task_failure_prob = c.task_failure_prob;
   // Decision-stream equality is part of the contract.
   s.config.trace.enabled = true;
-  s.config.trace.max_chunks_per_thread = 1024;
+  s.config.trace.max_chunks = 1024;
   return s;
 }
 

@@ -396,6 +396,65 @@ TEST(Simulator, BackgroundActivityContendsProportionally) {
   EXPECT_LT(r.tasks[0].duration(), 11.0);
 }
 
+// Drains completion reports on every other pass only, and checks that a
+// drain returns just the completions since the previous pass: the tasks
+// running when that pass ended that are gone when this one starts (tasks
+// start only inside passes, and nothing here kills one).
+class EveryOtherPassDrainer final : public Scheduler {
+ public:
+  std::string name() const override { return "every-other-pass-drainer"; }
+  void schedule(SchedulerContext& ctx) override {
+    std::unordered_set<int> running;
+    for (const auto& t : ctx.running_tasks()) running.insert(t.uid);
+    int finished = 0;
+    for (const int uid : running_after_last_pass_) {
+      if (running.count(uid) == 0) finished++;
+    }
+    if (passes_++ % 2 == 1) {
+      const std::vector<TaskReport> reports = ctx.take_reports();
+      EXPECT_EQ(static_cast<int>(reports.size()), finished)
+          << "pass " << passes_ - 1;
+      drained_ += static_cast<int>(reports.size());
+    }
+    completions_ += finished;
+    inner_.schedule(ctx);
+    running_after_last_pass_.clear();
+    for (const auto& t : ctx.running_tasks())
+      running_after_last_pass_.insert(t.uid);
+  }
+
+  int drained() const { return drained_; }
+  int completions() const { return completions_; }
+
+ private:
+  GreedyFitScheduler inner_;
+  std::unordered_set<int> running_after_last_pass_;
+  int passes_ = 0;
+  int drained_ = 0;
+  int completions_ = 0;
+};
+
+TEST(Simulator, UndrainedReportsAreDiscardedAtPassEnd) {
+  // Eight 2-core tasks of staggered lengths on two 4-core machines: four
+  // run at once and completions fall into many different passes.
+  Workload w;
+  JobSpec job;
+  StageSpec stage;
+  for (int i = 0; i < 8; ++i)
+    stage.tasks.push_back(cpu_task(2, 1, 1.3 + 0.7 * i));
+  job.stages.push_back(stage);
+  w.jobs.push_back(job);
+
+  EveryOtherPassDrainer sched;
+  const SimResult r = simulate(small_cluster(2), w, sched);
+  ASSERT_TRUE(r.completed);
+  // Completions after the last pass are never observed; every earlier
+  // one falls in some interval, drained or discarded.
+  EXPECT_GT(sched.drained(), 0);
+  EXPECT_LT(sched.drained(), sched.completions());
+  EXPECT_LE(sched.completions(), 8);
+}
+
 // When one rate refresh produces finish events with equal times, the
 // simulator pushes them in the iteration order of a std::unordered_set<int>
 // filled by the refresh walk (DESIGN.md §8.6). Earlier revisions kept that

@@ -1,7 +1,9 @@
 // A hand-rolled SchedulerContext for unit tests: fixed machines, fixed
 // task groups with explicit per-(group, machine) demands, and a recorded
 // placement log. Lets tests pin down scheduler decision logic (ordering,
-// admission, fairness cuts) without running the simulator.
+// admission, fairness cuts) without running the simulator. Like the
+// simulator's context it keeps SoA planes coherent with available() and
+// capacity(), and a down machine reports zero availability.
 #pragma once
 
 #include <map>
@@ -25,7 +27,10 @@ class FakeContext final : public sim::SchedulerContext {
   };
 
   explicit FakeContext(std::vector<Resources> machine_caps)
-      : caps_(std::move(machine_caps)), avail_(caps_) {
+      : caps_(std::move(machine_caps)),
+        avail_(caps_),
+        avail_planes_(util::ResourcePlanes::rebuilt_from(caps_)),
+        cap_planes_(util::ResourcePlanes::rebuilt_from(caps_)) {
     for (const auto& cap : caps_) cluster_capacity_ += cap;
   }
 
@@ -66,6 +71,7 @@ class FakeContext final : public sim::SchedulerContext {
 
   void set_available(sim::MachineId m, const Resources& avail) {
     avail_.at(static_cast<std::size_t>(m)) = avail;
+    sync(m);
   }
   void add_imminent(const sim::GroupView& v) { imminent_.push_back(v); }
 
@@ -80,7 +86,13 @@ class FakeContext final : public sim::SchedulerContext {
     return cluster_capacity_;
   }
   Resources available(sim::MachineId m) const override {
-    return avail_.at(static_cast<std::size_t>(m));
+    return avail_planes_.gather(static_cast<std::size_t>(m));
+  }
+  const util::ResourcePlanes* availability_planes() const override {
+    return &avail_planes_;
+  }
+  const util::ResourcePlanes* capacity_planes() const override {
+    return &cap_planes_;
   }
   int running_tasks_on(sim::MachineId) const override { return 0; }
   bool machine_up(sim::MachineId m) const override {
@@ -92,6 +104,7 @@ class FakeContext final : public sim::SchedulerContext {
     } else {
       down_.insert(m);
     }
+    sync(m);
   }
 
   std::vector<sim::GroupView> runnable_groups() const override {
@@ -140,9 +153,11 @@ class FakeContext final : public sim::SchedulerContext {
       g.view.runnable--;
       auto& avail = avail_.at(static_cast<std::size_t>(p.machine));
       avail = (avail - p.demand).max_zero();
+      sync(p.machine);
       for (const auto& leg : p.remote) {
         auto& ravail = avail_.at(static_cast<std::size_t>(leg.machine));
         ravail = (ravail - sim::leg_resources(leg)).max_zero();
+        sync(leg.machine);
       }
       for (auto& j : jobs_) {
         if (j.id == p.group.job) {
@@ -167,6 +182,7 @@ class FakeContext final : public sim::SchedulerContext {
         auto& avail = avail_.at(static_cast<std::size_t>(
             running_[i].machine));
         avail += running_[i].demand;
+        sync(running_[i].machine);
         running_.erase(running_.begin() + static_cast<long>(i));
         return true;
       }
@@ -176,6 +192,8 @@ class FakeContext final : public sim::SchedulerContext {
   void add_running(const sim::RunningTaskView& v) { running_.push_back(v); }
 
   std::vector<sim::TaskReport> take_reports() override { return {}; }
+  trace::Recorder* tracer() override { return tracer_; }
+  void set_tracer(trace::Recorder* tracer) { tracer_ = tracer; }
 
   // --- inspection ---
   std::vector<sim::Probe> placements;
@@ -183,8 +201,17 @@ class FakeContext final : public sim::SchedulerContext {
   long probe_count() const { return probes_; }
 
  private:
+  // Mirrors machine m's availability into its plane lane: zero while the
+  // machine is down, its tracked availability otherwise.
+  void sync(sim::MachineId m) {
+    const auto lane = static_cast<std::size_t>(m);
+    avail_planes_.set(lane, down_.count(m) > 0 ? Resources{} : avail_[lane]);
+  }
+
   std::vector<Resources> caps_;
-  std::vector<Resources> avail_;
+  std::vector<Resources> avail_;  // tracked availability, down or not
+  util::ResourcePlanes avail_planes_;
+  util::ResourcePlanes cap_planes_;
   Resources cluster_capacity_;
   std::vector<FakeGroup> groups_;
   std::vector<sim::JobView> jobs_;
@@ -192,6 +219,7 @@ class FakeContext final : public sim::SchedulerContext {
   std::vector<sim::RunningTaskView> running_;
   std::set<sim::MachineId> down_;
   SimTime now_ = 0;
+  trace::Recorder* tracer_ = nullptr;
   mutable long probes_ = 0;
 };
 
